@@ -31,15 +31,12 @@ def solve(
     colors: int,
     constraints: Sequence[Sequence[int]],
     order: Sequence[int],
-    prefix: Sequence[tuple[int, int]] = (),
 ) -> tuple[bool, list[int] | None]:
     """Return (avoidable, assignment); assignment colors every point, -1 kept as 0.
 
     `constraints` must not contain singletons (a singleton is unavoidable and
     should be short-circuited by the caller).  `order` lists the points the
     search may branch on; points outside it are only colored by propagation.
-    `prefix` forces initial assignments, used to split the search for worker
-    pools.
     """
     if colors >= 63:
         raise ValueError("more than 62 colors is not supported")
@@ -125,12 +122,6 @@ def solve(
         while len(forb_trail) > forb_mark:
             q, bit = forb_trail.pop()
             forbid[q] ^= bit
-
-    for point, g in prefix:
-        if g >= colors:
-            raise ValueError("prefix color out of range")
-        if not assign(point, g):
-            return False, None
 
     olen = len(order)
 

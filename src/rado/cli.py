@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -98,13 +97,6 @@ def _parse_points(_ctx, _param, value):
         )
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return threads
-    env = os.environ.get("RADO_THREADS")
-    return int(env) if env else 1
-
-
 def domain_errors(fn):
     """Map library input errors to exit code 2."""
 
@@ -154,12 +146,6 @@ distinct_option = click.option(
     "--distinct",
     is_flag=True,
     help="Require the masked points of a solution tuple to be pairwise distinct.",
-)
-threads_option = click.option(
-    "--threads",
-    type=int,
-    default=None,
-    help="Worker processes for the search (default: RADO_THREADS or 1).",
 )
 
 
@@ -333,7 +319,6 @@ def _witness_doc(witness: Coloring | None):
     default=None,
     help="Write the avoiding coloring to this file when one exists.",
 )
-@threads_option
 @budget_option
 @json_option
 @domain_errors
@@ -345,13 +330,12 @@ def cmd_search(
     exclude_degenerate,
     distinct,
     witness_path,
-    threads,
     budget,
     as_json,
 ):
     """Decide avoidability of [1,n]^d; exit 0 when unavoidable, 1 when avoidable."""
     problem = _problem(system_path, colors, mask, exclude_degenerate, distinct)
-    outcome = find_avoiding_coloring(problem, box, budget, _resolve_threads(threads))
+    outcome = find_avoiding_coloring(problem, box, budget)
     if outcome.witness is not None and witness_path:
         with open(witness_path, "w", encoding="utf-8") as fh:
             fh.write(serialize_coloring(outcome.witness))
@@ -388,7 +372,6 @@ def cmd_search(
     default=None,
     help="Write the last avoiding coloring found during the scan.",
 )
-@threads_option
 @budget_option
 @json_option
 @domain_errors
@@ -400,13 +383,12 @@ def cmd_rado_number(
     distinct,
     max_n,
     witness_path,
-    threads,
     budget,
     as_json,
 ):
     """Minimal n whose every coloring has a monochromatic constrained solution."""
     problem = _problem(system_path, colors, mask, exclude_degenerate, distinct)
-    result = rado_number(problem, max_n, budget, _resolve_threads(threads))
+    result = rado_number(problem, max_n, budget)
     if result.witness is not None and witness_path:
         with open(witness_path, "w", encoding="utf-8") as fh:
             fh.write(serialize_coloring(result.witness))

@@ -38,7 +38,6 @@ def solve_avoidability(
     colors: int,
     constraints: Sequence[Sequence[int]],
     order: Sequence[int],
-    prefix: Sequence[tuple[int, int]] = (),
     backend: str | None = None,
 ) -> tuple[bool, list[int] | None]:
     """Dispatch to the selected kernel; see ``_kernel_py.solve`` for the contract."""
@@ -49,4 +48,4 @@ def solve_avoidability(
         raise ValueError(
             f"unknown kernel backend {name!r}; available: {available_backends()}"
         ) from None
-    return fn(num_points, colors, constraints, order, prefix)
+    return fn(num_points, colors, constraints, order)

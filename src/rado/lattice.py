@@ -229,6 +229,16 @@ def _coordinate_solutions(
     return lists
 
 
+def _budgeted_product(
+    lists: list[list[tuple[int, ...]]], budget: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Lazy product of per-coordinate solution lists, refused beyond the budget."""
+    total = prod(len(rows) for rows in lists)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    return product(*lists)
+
+
 def enumerate_vector_solutions(
     system: VectorSystem, n: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[SolutionTuple]:
@@ -237,10 +247,7 @@ def enumerate_vector_solutions(
     Order is deterministic: lexicographic in the tuple of coordinate rows.
     """
     lists = _coordinate_solutions(system, n, budget)
-    total = prod(len(rows) for rows in lists)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    for rows in product(*lists):
+    for rows in _budgeted_product(lists, budget):
         yield SolutionTuple(tuple(zip(*rows)))
 
 
@@ -270,11 +277,8 @@ def count_degenerate(
     """Number of solution tuples whose masked point set is degenerate."""
     mask = _resolve_mask(mask, system.k)
     lists = _coordinate_solutions(system, n, budget)
-    total = prod(len(rows) for rows in lists)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
     count = 0
-    for rows in product(*lists):
+    for rows in _budgeted_product(lists, budget):
         pts = {tuple(row[j] for row in rows) for j in mask}
         if _degenerate_point_set(pts) is not None:
             count += 1
@@ -300,13 +304,10 @@ def count_monochromatic(
     mask = _resolve_mask(mask, system.k)
     n = coloring.n
     lists = _coordinate_solutions(system, n, budget)
-    total = prod(len(rows) for rows in lists)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
     colors = coloring.colors
     counts = [0] * coloring.r
     first, rest = mask[0], mask[1:]
-    for rows in product(*lists):
+    for rows in _budgeted_product(lists, budget):
         idx = 0
         for row in rows:
             idx = idx * n + (row[first] - 1)

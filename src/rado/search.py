@@ -17,20 +17,19 @@ results into certified outcomes.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from math import prod
 from typing import Sequence
 
-from .errors import BudgetExceededError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .kernel import solve_avoidability
 from .lattice import (
     DEFAULT_BUDGET,
     Coloring,
     Point,
+    _budgeted_product,
     _coordinate_solutions,
     _degenerate_point_set,
+    _resolve_mask,
     index_point,
     point_index,
 )
@@ -55,13 +54,7 @@ class SearchProblem:
         if self.colors < 1:
             raise ValueError("at least one color is required")
         if self.mask is not None:
-            k = self.system.k
-            resolved = tuple(sorted(set(self.mask)))
-            if not resolved:
-                raise ValueError("mask must be nonempty")
-            if resolved[0] < 0 or resolved[-1] >= k:
-                raise ValueError(f"mask indices must lie in [0, {k})")
-            object.__setattr__(self, "mask", resolved)
+            object.__setattr__(self, "mask", _resolve_mask(self.mask, self.system.k))
 
     @property
     def resolved_mask(self) -> tuple[int, ...]:
@@ -123,13 +116,10 @@ def build_constraints(
     if n < 1:
         return ConstraintSet(n, d, ())
     lists = _coordinate_solutions(system, n, budget)
-    total = prod(len(rows) for rows in lists)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
     distinct = problem.require_distinct
     nondegenerate = problem.exclude_degenerate
     seen: set[frozenset[int]] = set()
-    for rows in product(*lists):
+    for rows in _budgeted_product(lists, budget):
         points = {tuple(row[j] for row in rows) for j in mask}
         if distinct and len(points) != len(mask):
             continue
@@ -162,30 +152,19 @@ def _branch_order(cs: ConstraintSet) -> list[int]:
     return sorted(degree, key=lambda i: (-degree[i], base_pos[i]))
 
 
-def _search_task(args):
-    num_points, colors, constraints, order, prefix = args
-    return solve_avoidability(num_points, colors, constraints, order, prefix=prefix)
-
-
 def find_avoiding_coloring(
     problem: SearchProblem,
     n: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-    constraint_set: ConstraintSet | None = None,
 ) -> SearchOutcome:
     """Exhaustively decide avoidability of [1,n]^d for the given problem.
 
     Avoidable outcomes carry a witness coloring (points in no constraint get
-    color 0).  With threads > 1 the search splits on the first two branch
-    points and runs the parts in worker processes; the status is identical to
-    the single-threaded result, though the witness may differ.
+    color 0).  The search is deterministic, so the witness is too.
     """
     if n < 1:
         raise ValueError("box side n must be at least 1")
-    cs = constraint_set if constraint_set is not None else build_constraints(
-        problem, n, budget
-    )
+    cs = build_constraints(problem, n, budget)
     d = problem.system.d
     r = problem.colors
     num_points = n**d
@@ -195,19 +174,6 @@ def find_avoiding_coloring(
     if not cs.constraints:
         return SearchOutcome(AVOIDABLE, Coloring(n, d, r, (0,) * num_points), None)
     order = _branch_order(cs)
-    if threads > 1 and len(order) >= 2 and r >= 2:
-        tasks = [
-            (num_points, r, cs.constraints, order, ((order[0], 0), (order[1], g)))
-            for g in (0, 1)
-        ]
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            results = list(pool.map(_search_task, tasks))
-        for ok, assignment in results:
-            if ok:
-                return SearchOutcome(
-                    AVOIDABLE, Coloring(n, d, r, tuple(assignment)), None
-                )
-        return SearchOutcome(UNAVOIDABLE, None, None)
     ok, assignment = solve_avoidability(num_points, r, cs.constraints, order)
     if ok:
         return SearchOutcome(AVOIDABLE, Coloring(n, d, r, tuple(assignment)), None)
@@ -218,7 +184,6 @@ def rado_number(
     problem: SearchProblem,
     max_n: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> RadoNumberResult:
     """Scan n = 1, 2, ... for the smallest unavoidable box.
 
@@ -229,7 +194,7 @@ def rado_number(
         raise ValueError("max_n must be at least 1")
     last_witness = None
     for n in range(1, max_n + 1):
-        outcome = find_avoiding_coloring(problem, n, budget, threads)
+        outcome = find_avoiding_coloring(problem, n, budget)
         if outcome.status != AVOIDABLE:
             return RadoNumberResult(n, n, last_witness)
         last_witness = outcome.witness
@@ -259,10 +224,7 @@ def verify_witness(
 
 
 def export_dimacs(
-    problem: SearchProblem,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    constraint_set: ConstraintSet | None = None,
+    problem: SearchProblem, n: int, budget: int = DEFAULT_BUDGET
 ) -> str:
     """CNF text that is satisfiable exactly when the problem is avoidable at n.
 
@@ -273,9 +235,7 @@ def export_dimacs(
     constraint and color.  Variables number points in lexicographic order,
     then colors, so output is bit-exact across runs.
     """
-    cs = constraint_set if constraint_set is not None else build_constraints(
-        problem, n, budget
-    )
+    cs = build_constraints(problem, n, budget)
     d = problem.system.d
     r = problem.colors
     num_points = n**d

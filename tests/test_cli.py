@@ -404,21 +404,3 @@ class TestUsage:
         assert first.output == second.output
         assert first.exit_code == second.exit_code
 
-
-class TestThreads:
-    def test_env_variable_and_flag(self, runner, system_files, monkeypatch):
-        base = [
-            "rado-number",
-            "-f",
-            system_files["schur"],
-            "--max-n",
-            "6",
-            "--json",
-        ]
-        single = runner.invoke(main, base)
-        monkeypatch.setenv("RADO_THREADS", "2")
-        via_env = runner.invoke(main, base)
-        via_flag = runner.invoke(main, base + ["--threads", "1"])
-        for result in (via_env, via_flag):
-            assert result.exit_code == single.exit_code
-            assert json.loads(result.output)["value"] == json.loads(single.output)["value"]

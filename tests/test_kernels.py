@@ -34,17 +34,6 @@ class TestKernel:
         ok3, colors = solve_avoidability(3, 3, cons, [0, 1, 2], backend=backend)
         assert ok3 and check_witness(cons, colors)
 
-    def test_prefix_restricts_search(self, backend):
-        cons = [(0, 1)]
-        ok, _ = solve_avoidability(
-            2, 2, cons, [0, 1], prefix=((0, 0), (1, 0)), backend=backend
-        )
-        assert not ok
-        ok, colors = solve_avoidability(
-            2, 2, cons, [0, 1], prefix=((0, 0), (1, 1)), backend=backend
-        )
-        assert ok and colors == [0, 1]
-
     def test_color_count_cap(self, backend):
         with pytest.raises(ValueError):
             solve_avoidability(1, 63, [], [], backend=backend)

@@ -19,6 +19,7 @@ from rado.lattice import (
     point_index,
     serialize_coloring,
 )
+from rado.search import SearchProblem, build_constraints
 from rado.systems import ScalarSystem, VectorSystem
 
 from oracles import degenerate_oracle, naive_vector_solutions
@@ -161,6 +162,26 @@ class TestMonochromatic:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             count_monochromatic(MOTIVATING, Coloring.constant(3, 2, r=1), mask=())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda budget: list(enumerate_vector_solutions(DIAG_SCHUR, 10, budget)),
+        lambda budget: count_degenerate(DIAG_SCHUR, 10, budget=budget),
+        lambda budget: count_monochromatic(
+            DIAG_SCHUR, Coloring.constant(10, 2), budget=budget
+        ),
+        lambda budget: build_constraints(SearchProblem(DIAG_SCHUR), 10, budget),
+    ],
+    ids=["enumerate", "degenerate", "monochromatic", "build"],
+)
+def test_tuple_product_budget_refusal(call):
+    # each coordinate grid has 10**2 cells, within budget; the 45 * 45 tuple
+    # product is not
+    with pytest.raises(BudgetExceededError) as exc:
+        call(1000)
+    assert exc.value.projected == 45**2
 
 
 class TestDegeneracy:

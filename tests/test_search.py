@@ -135,14 +135,6 @@ class TestFindAvoidingColoring:
         swapped = Coloring(w.n, w.d, w.r, tuple(1 - c for c in w.colors))
         assert verify_witness(MOTIV, swapped).passed
 
-    def test_threads_match_single(self):
-        for n in (4, 5):
-            single = find_avoiding_coloring(SCHUR_1D, n)
-            pooled = find_avoiding_coloring(SCHUR_1D, n, threads=2)
-            assert single.status == pooled.status
-            if pooled.status == AVOIDABLE:
-                assert verify_witness(SCHUR_1D, pooled.witness).passed
-
     def test_invalid_box(self):
         with pytest.raises(ValueError):
             find_avoiding_coloring(SCHUR_1D, 0)
