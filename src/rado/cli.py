@@ -65,13 +65,9 @@ def _load_coloring(path: str) -> Coloring:
         return parse_coloring(fh.read())
 
 
-def _parse_mask(_ctx, _param, value):
-    if value is None:
-        return None
-    try:
-        return tuple(int(tok) for tok in value.split(",") if tok.strip() != "")
-    except ValueError:
-        raise click.BadParameter("mask must be a comma-separated list of integers")
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _parse_ints(_ctx, _param, value):
@@ -129,13 +125,10 @@ budget_option = click.option(
 )
 mask_option = click.option(
     "--mask",
-    callback=_parse_mask,
+    callback=_parse_ints,
     default=None,
     help="Comma-separated solution point indices that must share a color "
     "(default: all).",
-)
-colors_option = click.option(
-    "--colors", type=int, default=2, show_default=True, help="Number of colors r."
 )
 exclude_degenerate_option = click.option(
     "--exclude-degenerate",
@@ -149,14 +142,32 @@ distinct_option = click.option(
 )
 
 
-def _problem(system_path, colors, mask, exclude_degenerate, distinct) -> SearchProblem:
-    return SearchProblem(
-        _load_system(system_path),
-        colors=colors,
-        mask=mask,
-        exclude_degenerate=exclude_degenerate,
-        require_distinct=distinct,
+def problem_options(fn):
+    """Declare the search-problem options and pass ``fn`` a built `SearchProblem`.
+
+    Building the problem reads the system file and validates the mask and the
+    color count, so ``domain_errors`` must wrap this decorator.
+    """
+
+    @system_option
+    @click.option(
+        "--colors", type=int, default=2, show_default=True, help="Number of colors r."
     )
+    @mask_option
+    @exclude_degenerate_option
+    @distinct_option
+    @functools.wraps(fn)
+    def wrapper(system_path, colors, mask, exclude_degenerate, distinct, **kwargs):
+        problem = SearchProblem(
+            _load_system(system_path),
+            colors=colors,
+            mask=mask,
+            exclude_degenerate=exclude_degenerate,
+            require_distinct=distinct,
+        )
+        return fn(problem, **kwargs)
+
+    return wrapper
 
 
 @click.group()
@@ -299,19 +310,8 @@ def cmd_degenerate(points, as_json):
     sys.exit(0 if report.degenerate else 1)
 
 
-def _witness_doc(witness: Coloring | None):
-    if witness is None:
-        return None
-    return {"n": witness.n, "d": witness.d, "r": witness.r, "colors": list(witness.colors)}
-
-
 @main.command("search")
-@system_option
 @click.option("-n", "box", type=int, required=True, help="Box side n.")
-@colors_option
-@mask_option
-@exclude_degenerate_option
-@distinct_option
 @click.option(
     "--emit-witness",
     "witness_path",
@@ -322,27 +322,16 @@ def _witness_doc(witness: Coloring | None):
 @budget_option
 @json_option
 @domain_errors
-def cmd_search(
-    system_path,
-    box,
-    colors,
-    mask,
-    exclude_degenerate,
-    distinct,
-    witness_path,
-    budget,
-    as_json,
-):
+@problem_options
+def cmd_search(problem, box, witness_path, budget, as_json):
     """Decide avoidability of [1,n]^d; exit 0 when unavoidable, 1 when avoidable."""
-    problem = _problem(system_path, colors, mask, exclude_degenerate, distinct)
     outcome = find_avoiding_coloring(problem, box, budget)
     if outcome.witness is not None and witness_path:
-        with open(witness_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_coloring(outcome.witness))
+        _write(witness_path, serialize_coloring(outcome.witness))
     doc = {
         "n": box,
         "status": outcome.status,
-        "witness": _witness_doc(outcome.witness),
+        "witness": asdict(outcome.witness) if outcome.witness else None,
         "forced_constraint": (
             [list(p) for p in outcome.forced_constraint]
             if outcome.forced_constraint
@@ -359,11 +348,6 @@ def cmd_search(
 
 
 @main.command("rado-number")
-@system_option
-@colors_option
-@mask_option
-@exclude_degenerate_option
-@distinct_option
 @click.option("--max-n", type=int, required=True, help="Stop the scan at this box side.")
 @click.option(
     "--emit-witness",
@@ -375,28 +359,17 @@ def cmd_search(
 @budget_option
 @json_option
 @domain_errors
-def cmd_rado_number(
-    system_path,
-    colors,
-    mask,
-    exclude_degenerate,
-    distinct,
-    max_n,
-    witness_path,
-    budget,
-    as_json,
-):
+@problem_options
+def cmd_rado_number(problem, max_n, witness_path, budget, as_json):
     """Minimal n whose every coloring has a monochromatic constrained solution."""
-    problem = _problem(system_path, colors, mask, exclude_degenerate, distinct)
     result = rado_number(problem, max_n, budget)
     if result.witness is not None and witness_path:
-        with open(witness_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_coloring(result.witness))
+        _write(witness_path, serialize_coloring(result.witness))
     doc = {
         "found": result.found,
         "value": result.value,
         "searched_to": result.searched_to,
-        "witness": _witness_doc(result.witness),
+        "witness": asdict(result.witness) if result.witness else None,
     }
     if as_json:
         _echo_json(doc)
@@ -440,12 +413,12 @@ def cmd_verify(
 ):
     """Check a coloring certificate; exit 0 when it avoids all constraints."""
     witness = _load_coloring(witness_path)
-    problem = _problem(
-        system_path,
-        colors if colors is not None else witness.r,
-        mask,
-        exclude_degenerate,
-        distinct,
+    problem = SearchProblem(
+        _load_system(system_path),
+        colors=colors if colors is not None else witness.r,
+        mask=mask,
+        exclude_degenerate=exclude_degenerate,
+        require_distinct=distinct,
     )
     report = verify_witness(problem, witness, budget)
     doc = {
@@ -470,12 +443,7 @@ def cmd_verify(
 
 
 @main.command("export-dimacs")
-@system_option
 @click.option("-n", "box", type=int, required=True, help="Box side n.")
-@colors_option
-@mask_option
-@exclude_degenerate_option
-@distinct_option
 @click.option(
     "-o",
     "--output",
@@ -487,23 +455,12 @@ def cmd_verify(
 @budget_option
 @json_option
 @domain_errors
-def cmd_export_dimacs(
-    system_path,
-    box,
-    colors,
-    mask,
-    exclude_degenerate,
-    distinct,
-    output_path,
-    budget,
-    as_json,
-):
+@problem_options
+def cmd_export_dimacs(problem, box, output_path, budget, as_json):
     """Emit a CNF that is satisfiable exactly when [1,n]^d is avoidable."""
-    problem = _problem(system_path, colors, mask, exclude_degenerate, distinct)
     text = export_dimacs(problem, box, budget)
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(output_path, text)
         if as_json:
             _echo_json({"written": output_path})
         else:

@@ -1,14 +1,13 @@
 """Backend selection for the avoidability-search kernel.
 
-The compiled extension is preferred when it imported successfully; setting
-the environment variable ``RADO_PURE_PYTHON`` (to any nonempty value) forces
-the pure-Python implementation.  Both backends implement the identical
-deterministic algorithm, so results do not depend on the choice.
+The compiled extension is preferred when it imported successfully; pass
+``backend="python"`` to ``solve_avoidability`` to run the pure-Python
+implementation instead.  Both backends implement the identical deterministic
+algorithm, so results do not depend on the choice.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from . import _kernel_py
@@ -28,8 +27,6 @@ def available_backends() -> tuple[str, ...]:
 
 
 def default_backend() -> str:
-    if os.environ.get("RADO_PURE_PYTHON"):
-        return "python"
     return "c" if "c" in _BACKENDS else "python"
 
 

@@ -46,19 +46,14 @@ class SearchProblem:
 
     system: VectorSystem
     colors: int = 2
-    mask: tuple[int, ...] | None = None  # None means all k points
+    mask: tuple[int, ...] | None = None  # None (all k points) is stored as (0, ..., k-1)
     exclude_degenerate: bool = False
     require_distinct: bool = False
 
     def __post_init__(self):
         if self.colors < 1:
             raise ValueError("at least one color is required")
-        if self.mask is not None:
-            object.__setattr__(self, "mask", _resolve_mask(self.mask, self.system.k))
-
-    @property
-    def resolved_mask(self) -> tuple[int, ...]:
-        return self.mask if self.mask is not None else tuple(range(self.system.k))
+        object.__setattr__(self, "mask", _resolve_mask(self.mask, self.system.k))
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def build_constraints(
     """Masked point sets of all filtered solution tuples in [1,n]^d."""
     system = problem.system
     d = system.d
-    mask = problem.resolved_mask
+    mask = problem.mask
     if n < 1:
         return ConstraintSet(n, d, ())
     lists = _coordinate_solutions(system, n, budget)

@@ -16,6 +16,7 @@ from rado.systems import (
 
 MOTIVATING = VectorSystem.from_rows([[[1, 1, -1, 0]], [[-1, 1, 0, -1], [0, -1, 1, -1]]])
 SCHUR = VectorSystem.from_rows([[[1, 1, -1]]])
+DIAG_SCHUR = VectorSystem.diagonal(ScalarSystem.from_rows([[1, 1, -1]]), 2)
 
 
 @pytest.fixture()
@@ -29,7 +30,14 @@ def system_files(tmp_path):
     motivating.write_text(serialize_system(MOTIVATING))
     schur = tmp_path / "schur.json"
     schur.write_text(serialize_system(SCHUR))
-    return {"motivating": str(motivating), "schur": str(schur), "dir": tmp_path}
+    diag = tmp_path / "diag.json"
+    diag.write_text(serialize_system(DIAG_SCHUR))
+    return {
+        "motivating": str(motivating),
+        "schur": str(schur),
+        "diag": str(diag),
+        "dir": tmp_path,
+    }
 
 
 class TestCheckColumns:
@@ -75,15 +83,10 @@ class TestEnumerateAndCount:
         assert doc["total"] == 3
         assert [[1], [1], [2]] in doc["solutions"]
 
-    def test_count_with_degenerate(self, runner, system_files, tmp_path):
-        diag = tmp_path / "diag.json"
-        diag.write_text(
-            serialize_system(
-                VectorSystem.diagonal(ScalarSystem.from_rows([[1, 1, -1]]), 2)
-            )
-        )
+    def test_count_with_degenerate(self, runner, system_files):
         result = runner.invoke(
-            main, ["count", "-f", str(diag), "-n", "5", "--degenerate", "--json"]
+            main,
+            ["count", "-f", system_files["diag"], "-n", "5", "--degenerate", "--json"],
         )
         assert result.exit_code == 0
         doc = json.loads(result.output)
@@ -220,6 +223,82 @@ class TestSearchVerifyRadoNumber:
         doc = json.loads(result.output)
         assert doc["passed"] is False
         assert doc["violated_constraint"] is not None
+
+
+class TestProblemOptions:
+    """Each search-problem option changes the answer the library gives."""
+
+    @pytest.mark.parametrize(
+        "system, flags, status",
+        [
+            ("schur", [], "unavoidable"),
+            ("schur", ["--distinct"], "avoidable"),
+            ("schur", ["--colors", "3"], "avoidable"),
+            ("diag", [], "unavoidable"),
+            ("diag", ["--exclude-degenerate"], "avoidable"),
+        ],
+    )
+    def test_search(self, runner, system_files, system, flags, status):
+        result = runner.invoke(
+            main, ["search", "-f", system_files[system], "-n", "5", "--json", *flags]
+        )
+        assert result.exit_code == (1 if status == "avoidable" else 0)
+        assert json.loads(result.output)["status"] == status
+
+    @pytest.mark.parametrize(
+        "system, flags, value",
+        [
+            ("schur", [], 5),
+            ("schur", ["--distinct"], 9),
+            ("diag", [], 5),
+            ("diag", ["--exclude-degenerate"], 7),
+        ],
+    )
+    def test_rado_number(self, runner, system_files, system, flags, value):
+        result = runner.invoke(
+            main, ["rado-number", "-f", system_files[system], "--max-n", "12", *flags]
+        )
+        assert result.exit_code == 0
+        assert result.output.strip() == str(value)
+
+    @pytest.mark.parametrize("flag", ["--exclude-degenerate", "--distinct"])
+    def test_export_dimacs_filters(self, runner, system_files, flag):
+        def constraints(*flags):
+            result = runner.invoke(
+                main, ["export-dimacs", "-f", system_files["diag"], "-n", "5", *flags]
+            )
+            assert result.exit_code == 0
+            box_line = next(l for l in result.output.splitlines() if l.startswith("c box"))
+            return int(box_line.rsplit(" ", 1)[1])
+
+        assert constraints() == 51
+        assert constraints(flag) < 51
+
+    def test_verify_colors_default_to_witness(self, runner, system_files):
+        schur = system_files["schur"]
+        witness = str(system_files["dir"] / "w13.json")
+        search = runner.invoke(
+            main,
+            ["search", "-f", schur, "-n", "13", "--colors", "3", "--emit-witness", witness],
+        )
+        assert search.exit_code == 1
+        assert parse_coloring(open(witness).read()).r == 3
+        verify = ["verify", "-f", schur, "--witness", witness]
+        assert runner.invoke(main, verify).exit_code == 0
+        too_few = runner.invoke(main, [*verify, "--colors", "2"])
+        assert too_few.exit_code == 2
+        assert "witness uses 3 colors" in too_few.output
+
+    @pytest.mark.parametrize(
+        "command",
+        [["search", "-n", "3"], ["rado-number", "--max-n", "3"], ["export-dimacs", "-n", "3"]],
+    )
+    def test_bad_mask_is_input_error(self, runner, system_files, command):
+        result = runner.invoke(
+            main, [*command, "-f", system_files["schur"], "--mask", "0,7"]
+        )
+        assert result.exit_code == 2
+        assert "mask indices must lie in [0, 3)" in result.output
 
 
 class TestExportDimacs:
