@@ -39,7 +39,24 @@ class TestKernel:
             solve_avoidability(1, 63, [], [], backend=backend)
 
 
+def _compiled_extension_imports():
+    try:
+        import rado._kernel_c  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
 def test_compiled_backend_is_present():
+    # the dispatcher offers and prefers "c" exactly when the extension imports;
+    # whether it was built at all is reported by test_compiled_backend_is_built
+    compiled = _compiled_extension_imports()
+    assert "python" in BACKENDS
+    assert ("c" in BACKENDS) == compiled
+    assert default_backend() == ("c" if compiled else "python")
+
+
+def test_compiled_backend_is_built():
     pytest.importorskip(
         "rado._kernel_c",
         reason="compiled kernel not built (needs Cython and a C compiler)",
