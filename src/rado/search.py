@@ -3,11 +3,16 @@
 A search problem fixes a vector system, a color count, the mask of solution
 points that must share a color, and optional tuple filters (exclude
 degenerate masked sets, require the masked points pairwise distinct).
-Constraints are built by enumerating full solution tuples, projecting each
+Constraints are built by enumerating full solution tuples and projecting each
 surviving tuple to its masked point set (so a constraint exists as soon as
-SOME assignment of the unmasked dummy variables completes it), deduplicating,
-and dropping constraints that contain another constraint: a coloring that
-splits the smaller set also splits the larger one.
+SOME assignment of the unmasked dummy variables completes it).  Projection
+works on point indices directly: every per-coordinate solution row is turned
+once into its contributions to the masked points' lexicographic indices, and
+a tuple's index set is the sum of its rows' contributions.  The sets are
+deduplicated, and a set that contains another set is dropped, because a
+coloring that splits the smaller set also splits the larger one; a set is
+found dominated by looking up each of its subsets, of every smaller size
+that occurs, among the built sets.
 
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
@@ -18,6 +23,7 @@ results into certified outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -31,7 +37,6 @@ from .lattice import (
     _degenerate_point_set,
     _resolve_mask,
     index_point,
-    point_index,
 )
 from .systems import VectorSystem
 
@@ -110,23 +115,38 @@ def build_constraints(
     mask = problem.mask
     if n < 1:
         return ConstraintSet(n, d, ())
-    lists = _coordinate_solutions(system, n, budget)
+    # index of a point = sum over coordinates i of (coord_i - 1) * n**(d-1-i),
+    # so each coordinate row becomes its contributions to the masked indices
+    contribs = [
+        [tuple((row[j] - 1) * n ** (d - 1 - i) for j in mask) for row in rows]
+        for i, rows in enumerate(_coordinate_solutions(system, n, budget))
+    ]
     distinct = problem.require_distinct
     nondegenerate = problem.exclude_degenerate
     seen: set[frozenset[int]] = set()
-    for rows in _budgeted_product(lists, budget):
-        points = {tuple(row[j] for row in rows) for j in mask}
-        if distinct and len(points) != len(mask):
+    for parts in _budgeted_product(contribs, budget):
+        s = frozenset(map(sum, zip(*parts)))
+        if distinct and len(s) != len(mask):
             continue
-        if nondegenerate and _degenerate_point_set(points) is not None:
+        if nondegenerate and _degenerate_point_set(
+            index_point(i, n, d) for i in s
+        ) is not None:
             continue
-        seen.add(frozenset(point_index(p, n) for p in points))
-    # dominated-constraint elimination: processing by ascending size, any set
-    # containing an already-kept set is redundant
-    kept: list[frozenset[int]] = []
-    for s in sorted(seen, key=lambda s: (len(s), sorted(s))):
-        if not any(t < s for t in kept):
-            kept.append(s)
+        seen.add(s)
+    # a set is dominated when it properly contains another set; its minimal
+    # dominator is kept and lies in seen, so looking up its subsets of every
+    # smaller size present in seen finds exactly the dominated sets
+    sizes = {len(s) for s in seen}
+    kept = [
+        s
+        for s in seen
+        if not any(
+            frozenset(c) in seen
+            for m in sizes
+            if m < len(s)
+            for c in combinations(s, m)
+        )
+    ]
     constraints = tuple(
         sorted((tuple(sorted(s)) for s in kept), key=lambda t: (len(t), t))
     )

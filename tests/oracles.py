@@ -123,6 +123,32 @@ def naive_vector_solutions(systems_rows, n):
     return found
 
 
+def naive_constraints(systems_rows, n, mask, distinct, nondegenerate):
+    """Minimal masked point-index sets of all solution grids, built literally.
+
+    Each grid gives the set of its masked points (column j of the grid is
+    point j), indexed lexicographically over [1,n]^d; a set is dropped when
+    some other set is a proper subset of it.  Sorted by (size, indices).
+    """
+    d = len(systems_rows)
+    sets = set()
+    for rows in naive_vector_solutions(systems_rows, n):
+        pts = {tuple(rows[i][j] for i in range(d)) for j in mask}
+        if distinct and len(pts) < len(mask):
+            continue
+        if nondegenerate and degenerate_oracle(pts):
+            continue
+        idx = set()
+        for p in pts:
+            flat = 0
+            for c in p:
+                flat = flat * n + c - 1
+            idx.add(flat)
+        sets.add(frozenset(idx))
+    minimal = [a for a in sets if not any(b < a for b in sets)]
+    return tuple(sorted((tuple(sorted(a)) for a in minimal), key=lambda t: (len(t), t)))
+
+
 def avoidable_all_colorings(num_points, r, constraints) -> bool:
     """Literally try every r-coloring; only viable for tiny instances."""
     for coloring in product(range(r), repeat=num_points):
