@@ -25,7 +25,7 @@ SCHUR = ScalarSystem.from_rows([[1, 1, -1]])
 PROGRESSION = ScalarSystem.from_rows([[-1, 1, 0, -1], [0, -1, 1, -1]])
 MOTIVATING = VectorSystem.from_rows([[[1, 1, -1, 0]], [[-1, 1, 0, -1], [0, -1, 1, -1]]])
 DIAG_SCHUR = VectorSystem.diagonal(SCHUR, 2)
-AP4 = VectorSystem.from_rows([[[-1, 1, 0, 0, -1], [0, -1, 1, 0, -1], [0, 0, -1, 1, -1]]])
+AP4 = ScalarSystem.from_rows([[-1, 1, 0, 0, -1], [0, -1, 1, 0, -1], [0, 0, -1, 1, -1]])
 
 SCHUR_1D = SearchProblem(VectorSystem((SCHUR,)), colors=2)
 VDW = SearchProblem(VectorSystem((PROGRESSION,)), colors=2, mask=(0, 1, 2))
@@ -88,27 +88,39 @@ class TestBuildConstraints:
             build_constraints(MOTIV, 30, budget=10**4)
 
 
-ORACLE_CASES = (
-    ("schur", SCHUR_1D, 12),
-    ("diagonal-schur", SearchProblem(DIAG_SCHUR), 6),
-    ("diagonal-schur-nondegenerate", SearchProblem(DIAG_SCHUR, exclude_degenerate=True), 6),
-    ("flagship", SearchProblem(MOTIVATING), 4),
-    ("flagship-mask-0,1,2", MOTIV, 4),
-    ("flagship-mask-0,3", SearchProblem(MOTIVATING, mask=(0, 3)), 4),
-    ("flagship-distinct", SearchProblem(MOTIVATING, require_distinct=True), 4),
-    ("weak-schur", SearchProblem(VectorSystem((SCHUR,)), require_distinct=True), 12),
-)
+BUILD_PROBLEMS = {
+    "schur": SCHUR_1D,
+    "weak-schur": SearchProblem(VectorSystem((SCHUR,)), require_distinct=True),
+    "3-ap": VDW,
+    "4-ap": SearchProblem(VectorSystem((AP4,)), mask=(0, 1, 2, 3)),
+    "diagonal-schur": SearchProblem(DIAG_SCHUR),
+    "diagonal-schur-nondegenerate": SearchProblem(DIAG_SCHUR, exclude_degenerate=True),
+    "flagship": SearchProblem(MOTIVATING),
+    "flagship-mask-0,1,2": MOTIV,
+    "flagship-mask-0,3": SearchProblem(MOTIVATING, mask=(0, 3)),
+    "flagship-distinct": SearchProblem(MOTIVATING, require_distinct=True),
+}
+
+# largest n at which the brute-force oracle is compared, per problem
+ORACLE_MAX_N = {
+    "schur": 12,
+    "weak-schur": 12,
+    "diagonal-schur": 6,
+    "diagonal-schur-nondegenerate": 6,
+    "flagship": 4,
+    "flagship-mask-0,1,2": 4,
+    "flagship-mask-0,3": 4,
+    "flagship-distinct": 4,
+}
 
 
 @pytest.mark.parametrize(
-    "problem, n",
-    [
-        pytest.param(problem, n, id=f"{label}-n{n}")
-        for label, problem, top in ORACLE_CASES
-        for n in range(1, top + 1)
-    ],
+    "label, n",
+    [(label, n) for label, top in ORACLE_MAX_N.items() for n in range(1, top + 1)],
+    ids=lambda v: v if isinstance(v, str) else f"n{v}",
 )
-def test_build_matches_oracle(problem, n):
+def test_build_matches_oracle(label, n):
+    problem = BUILD_PROBLEMS[label]
     rows = [s.coeffs for s in problem.system.coordinate_systems]
     expected = naive_constraints(
         rows, n, problem.mask, problem.require_distinct, problem.exclude_degenerate
@@ -119,37 +131,32 @@ def test_build_matches_oracle(problem, n):
 # sha256 of repr(build_constraints(problem, n).constraints) for the benchmark's
 # problems, as built by the pairwise domination pass; any change to the
 # constraint tuples or their order changes them
-BUILD_PINS = (
-    ("flagship-mask-0,1,2", MOTIV, 9, "17b4bf2f6f0793923766073120dfbf441131ebbcaf0f3dd33705926edf138073"),
-    ("flagship-mask-0,1,2", MOTIV, 16, "684a7574bb0ed7ad294a006ce8df003cd8a195268ef417d7b17cacde88a24196"),
-    ("flagship", SearchProblem(MOTIVATING), 9, "6e02cc807c3f59dbed3dff360e6132eba9ac928c7c76d92211004e18283058c3"),
-    ("flagship", SearchProblem(MOTIVATING), 16, "1414403ab2869977a526898021ffbf2ec28878ca42528bfcacd08df306d70d41"),
-    ("diagonal-schur-nondegenerate", SearchProblem(DIAG_SCHUR, exclude_degenerate=True), 9,
-     "1f39bb9b20b937c8fa80ab633673923b7af3345c27274e92a378d26c8ed47ffc"),
-    ("diagonal-schur-nondegenerate", SearchProblem(DIAG_SCHUR, exclude_degenerate=True), 16,
-     "e848a316d94fb20dacaf164bf32dbcd96f43b6e1f3f7a1745880d40fb134cfc4"),
-    ("schur", SCHUR_1D, 9, "19ec346eca12cf0c8728d70e52a13ae3db93b2f11d8a5c86e78d6dc904ee8459"),
-    ("schur", SCHUR_1D, 16, "877f0d87573efe86ccc7364b7589ee6103f6fbaa89a2813e9448222549d3a0eb"),
-    ("3-ap", VDW, 9, "64291fa5a5573ea6e0f503815b47c2ac78d8203390280230e57afd627654f526"),
-    ("3-ap", VDW, 16, "2aaa2b585d393ac0ea8aa1a3edd2138feeb615bf57356b2e59d0a893abd5d3fd"),
-    ("weak-schur", SearchProblem(VectorSystem((SCHUR,)), require_distinct=True), 9,
-     "3cf7270f64f1bf264dc59348c2d398a72685d29a67607f1b420a8bf65624c444"),
-    ("weak-schur", SearchProblem(VectorSystem((SCHUR,)), require_distinct=True), 16,
-     "eba05fa9b2d7b40be3b1171fc17417990998788bf0f20ac222967db512381696"),
-    ("4-ap", SearchProblem(AP4, mask=(0, 1, 2, 3)), 9,
-     "4172afeaf20028093787a1404e633b66ab75f87efc5015fe8130788fc9f50d88"),
-    ("4-ap", SearchProblem(AP4, mask=(0, 1, 2, 3)), 16,
-     "b27b9a49b573846e2a865efa6679b619e733fec2fab6f6b105d44a2bfbea7dd1"),
-)
+BUILD_PINS = {
+    ("flagship-mask-0,1,2", 9): "17b4bf2f6f0793923766073120dfbf441131ebbcaf0f3dd33705926edf138073",
+    ("flagship-mask-0,1,2", 16): "684a7574bb0ed7ad294a006ce8df003cd8a195268ef417d7b17cacde88a24196",
+    ("flagship", 9): "6e02cc807c3f59dbed3dff360e6132eba9ac928c7c76d92211004e18283058c3",
+    ("flagship", 16): "1414403ab2869977a526898021ffbf2ec28878ca42528bfcacd08df306d70d41",
+    ("diagonal-schur-nondegenerate", 9):
+        "1f39bb9b20b937c8fa80ab633673923b7af3345c27274e92a378d26c8ed47ffc",
+    ("diagonal-schur-nondegenerate", 16):
+        "e848a316d94fb20dacaf164bf32dbcd96f43b6e1f3f7a1745880d40fb134cfc4",
+    ("schur", 9): "19ec346eca12cf0c8728d70e52a13ae3db93b2f11d8a5c86e78d6dc904ee8459",
+    ("schur", 16): "877f0d87573efe86ccc7364b7589ee6103f6fbaa89a2813e9448222549d3a0eb",
+    ("3-ap", 9): "64291fa5a5573ea6e0f503815b47c2ac78d8203390280230e57afd627654f526",
+    ("3-ap", 16): "2aaa2b585d393ac0ea8aa1a3edd2138feeb615bf57356b2e59d0a893abd5d3fd",
+    ("weak-schur", 9): "3cf7270f64f1bf264dc59348c2d398a72685d29a67607f1b420a8bf65624c444",
+    ("weak-schur", 16): "eba05fa9b2d7b40be3b1171fc17417990998788bf0f20ac222967db512381696",
+    ("4-ap", 9): "4172afeaf20028093787a1404e633b66ab75f87efc5015fe8130788fc9f50d88",
+    ("4-ap", 16): "b27b9a49b573846e2a865efa6679b619e733fec2fab6f6b105d44a2bfbea7dd1",
+}
 
 
 @pytest.mark.parametrize(
-    "problem, n, digest",
-    [pytest.param(p, n, h, id=f"{label}-n{n}") for label, p, n, h in BUILD_PINS],
+    "label, n", BUILD_PINS, ids=lambda v: v if isinstance(v, str) else f"n{v}"
 )
-def test_build_pinned(problem, n, digest):
-    constraints = build_constraints(problem, n).constraints
-    assert hashlib.sha256(repr(constraints).encode()).hexdigest() == digest
+def test_build_pinned(label, n):
+    constraints = build_constraints(BUILD_PROBLEMS[label], n).constraints
+    assert hashlib.sha256(repr(constraints).encode()).hexdigest() == BUILD_PINS[label, n]
 
 
 class TestFindAvoidingColoring:
