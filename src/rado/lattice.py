@@ -12,14 +12,21 @@ Degeneracy: a point set is degenerate when all points are positive integer
 multiples of one common direction.  Since parallel integer points share a
 primitive direction and integrality of the multipliers is then automatic, the
 classifier divides the first point by the gcd of its coordinates and tests
-everything against that single candidate direction.
+everything against that single candidate direction.  Read by coordinates, k
+points p_j = m_j * v are degenerate exactly when every coordinate row
+(p_1[i], ..., p_k[i]) = v[i] * (m_1, ..., m_k) is a positive multiple of one
+shared vector, i.e. when all rows have the same primitive form (row divided
+by its gcd).  The tuple counts use this to work per coordinate list instead
+of per tuple.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator
@@ -229,14 +236,36 @@ def _coordinate_solutions(
     return lists
 
 
+def _check_product_budget(lists: list[list[tuple[int, ...]]], budget: int) -> None:
+    """Refuse a tuple product of the per-coordinate lists beyond the budget."""
+    total = prod(len(rows) for rows in lists)
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+
+
 def _budgeted_product(
     lists: list[list[tuple[int, ...]]], budget: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Lazy product of per-coordinate solution lists, refused beyond the budget."""
-    total = prod(len(rows) for rows in lists)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    _check_product_budget(lists, budget)
     return product(*lists)
+
+
+def _index_contributions(
+    lists: list[list[tuple[int, ...]]], mask: tuple[int, ...], n: int
+) -> list[list[tuple[int, ...]]]:
+    """Each coordinate row's contributions to the masked points' indices.
+
+    The index of a point is the sum over coordinates i of
+    (coord_i - 1) * n**(d-1-i), so the masked points' indices of a tuple are
+    the position-wise sums of its rows' contributions.
+    """
+    d = len(lists)
+    out = []
+    for i, rows in enumerate(lists):
+        place = n ** (d - 1 - i)
+        out.append([tuple((row[j] - 1) * place for j in mask) for row in rows])
+    return out
 
 
 def enumerate_vector_solutions(
@@ -274,15 +303,23 @@ def count_degenerate(
     mask: Iterable[int] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Number of solution tuples whose masked point set is degenerate."""
+    """Number of solution tuples whose masked point set is degenerate.
+
+    A tuple is degenerate exactly when its coordinate rows, restricted to the
+    mask, all have the same primitive form (see the module docstring).  Each
+    coordinate list is tallied by that form, and the count is the sum over
+    forms of the product of the lists' tallies: linear in the list lengths,
+    without walking the tuple product (whose size the budget still bounds).
+    In one dimension every tuple counts.
+    """
     mask = _resolve_mask(mask, system.k)
     lists = _coordinate_solutions(system, n, budget)
-    count = 0
-    for rows in _budgeted_product(lists, budget):
-        pts = {tuple(row[j] for row in rows) for j in mask}
-        if _degenerate_point_set(pts) is not None:
-            count += 1
-    return count
+    _check_product_budget(lists, budget)
+    first, *rest = (
+        Counter(_primitive(tuple(row[j] for j in mask)) for row in rows)
+        for rows in lists
+    )
+    return sum(c * prod(t[form] for t in rest) for form, c in first.items())
 
 
 def count_monochromatic(
@@ -293,9 +330,13 @@ def count_monochromatic(
 ) -> list[int]:
     """Per-color counts of solution tuples whose masked points share that color.
 
-    The per-coordinate solution sets are walked as a lazy product; for each
-    assembled tuple the masked points are checked column by column and the
-    scan stops at the first color mismatch.
+    The product of all coordinate lists but the last is walked once and
+    summed into one base index per masked point (rows with the same bases are
+    counted together).  For a masked position and base, one bitset per color
+    marks the rows of the last list that complete that point to the color;
+    the tuples of a base monochromatic in a color are then the bits of the
+    AND of its positions' bitsets.  The tuple product, which the budget still
+    bounds, is never walked.
     """
     if coloring.d != system.d:
         raise DimensionMismatchError(
@@ -304,24 +345,29 @@ def count_monochromatic(
     mask = _resolve_mask(mask, system.k)
     n = coloring.n
     lists = _coordinate_solutions(system, n, budget)
+    _check_product_budget(lists, budget)
+    *outer, last = _index_contributions(lists, mask, n)
     colors = coloring.colors
+    palette = range(coloring.r)
+
+    @cache
+    def column(pos: int, base: int) -> list[int]:
+        row_colors = [colors[base + parts[pos]] for parts in last]
+        return [
+            int("0" + "".join("1" if x == c else "0" for x in row_colors), 2)
+            for c in palette
+        ]
+
+    zero = (0,) * len(mask)  # the one base when there is no outer list (d = 1)
+    bases = Counter(tuple(map(sum, zip(zero, *parts))) for parts in product(*outer))
     counts = [0] * coloring.r
-    first, rest = mask[0], mask[1:]
-    for rows in _budgeted_product(lists, budget):
-        idx = 0
-        for row in rows:
-            idx = idx * n + (row[first] - 1)
-        c0 = colors[idx]
-        ok = True
-        for j in rest:
-            idx = 0
-            for row in rows:
-                idx = idx * n + (row[j] - 1)
-            if colors[idx] != c0:
-                ok = False
-                break
-        if ok:
-            counts[c0] += 1
+    for base, weight in bases.items():
+        first, *rest = (column(pos, b) for pos, b in enumerate(base))
+        for c in palette:
+            both = first[c]
+            for bits in rest:
+                both &= bits[c]
+            counts[c] += weight * both.bit_count()
     return counts
 
 

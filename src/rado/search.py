@@ -7,12 +7,13 @@ Constraints are built by enumerating full solution tuples and projecting each
 surviving tuple to its masked point set (so a constraint exists as soon as
 SOME assignment of the unmasked dummy variables completes it).  Projection
 works on point indices directly: every per-coordinate solution row is turned
-once into its contributions to the masked points' lexicographic indices, and
-a tuple's index set is the sum of its rows' contributions.  The sets are
-deduplicated, and a set that contains another set is dropped, because a
-coloring that splits the smaller set also splits the larger one; a set is
-found dominated by looking up each of its subsets, of every smaller size
-that occurs, among the built sets.
+once into its contributions to the masked points' lexicographic indices
+(``lattice._index_contributions``), and a tuple's index set is the sum of
+its rows' contributions.  The sets are deduplicated, the degeneracy filter
+tests each distinct set once, and a set that contains another set is
+dropped, because a coloring that splits the smaller set also splits the
+larger one; a set is found dominated by looking up each of its subsets, of
+every smaller size that occurs, among the built sets.
 
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
@@ -35,6 +36,7 @@ from .lattice import (
     _budgeted_product,
     _coordinate_solutions,
     _degenerate_point_set,
+    _index_contributions,
     _resolve_mask,
     index_point,
 )
@@ -115,24 +117,20 @@ def build_constraints(
     mask = problem.mask
     if n < 1:
         return ConstraintSet(n, d, ())
-    # index of a point = sum over coordinates i of (coord_i - 1) * n**(d-1-i),
-    # so each coordinate row becomes its contributions to the masked indices
-    contribs = [
-        [tuple((row[j] - 1) * n ** (d - 1 - i) for j in mask) for row in rows]
-        for i, rows in enumerate(_coordinate_solutions(system, n, budget))
-    ]
+    contribs = _index_contributions(_coordinate_solutions(system, n, budget), mask, n)
     distinct = problem.require_distinct
-    nondegenerate = problem.exclude_degenerate
     seen: set[frozenset[int]] = set()
     for parts in _budgeted_product(contribs, budget):
         s = frozenset(map(sum, zip(*parts)))
-        if distinct and len(s) != len(mask):
-            continue
-        if nondegenerate and _degenerate_point_set(
-            index_point(i, n, d) for i in s
-        ) is not None:
-            continue
-        seen.add(s)
+        if not distinct or len(s) == len(mask):
+            seen.add(s)
+    if problem.exclude_degenerate:
+        # degeneracy is a property of the point set: test each set once
+        seen -= {
+            s
+            for s in seen
+            if _degenerate_point_set(index_point(i, n, d) for i in s) is not None
+        }
     # a set is dominated when it properly contains another set; its minimal
     # dominator is kept and lies in seen, so looking up its subsets of every
     # smaller size present in seen finds exactly the dominated sets

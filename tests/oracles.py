@@ -9,6 +9,7 @@ rank equality, partitions from explicit enumeration, colorings from full
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
 
@@ -109,7 +110,17 @@ def degenerate_oracle(points) -> bool:
 
 
 def naive_vector_solutions(systems_rows, n):
-    """All d x k grids over [1,n]^(d*k) satisfying every coordinate system."""
+    """All d x k grids over [1,n]^(d*k) satisfying every coordinate system.
+
+    Remembered per system and n, since several oracles walk the same box.
+    """
+    return _naive_vector_solutions(
+        tuple(tuple(map(tuple, rows)) for rows in systems_rows), n
+    )
+
+
+@cache
+def _naive_vector_solutions(systems_rows, n):
     d = len(systems_rows)
     k = len(systems_rows[0][0])
     found = []
@@ -120,7 +131,41 @@ def naive_vector_solutions(systems_rows, n):
             for i in range(d)
         ):
             found.append(tuple(rows))
-    return found
+    return tuple(found)
+
+
+def lex_index(point, n):
+    """Position of a point in the lexicographic order of [1,n]^d, from 0."""
+    flat = 0
+    for c in point:
+        flat = flat * n + c - 1
+    return flat
+
+
+def masked_points(rows, mask):
+    """The points (grid columns) of a solution grid at the masked positions."""
+    return [tuple(row[j] for row in rows) for j in mask]
+
+
+def naive_degenerate_count(systems_rows, n, mask):
+    """Solution grids whose masked points lie on one ray, each tested alone."""
+    return sum(
+        degenerate_oracle(masked_points(rows, mask))
+        for rows in naive_vector_solutions(systems_rows, n)
+    )
+
+
+def naive_monochromatic_counts(systems_rows, n, mask, colors, r):
+    """Per color, the solution grids whose masked points all have that color.
+
+    colors is flat in lexicographic point order over [1,n]^d.
+    """
+    counts = [0] * r
+    for rows in naive_vector_solutions(systems_rows, n):
+        seen = {colors[lex_index(p, n)] for p in masked_points(rows, mask)}
+        if len(seen) == 1:
+            counts[seen.pop()] += 1
+    return counts
 
 
 def naive_constraints(systems_rows, n, mask, distinct, nondegenerate):
@@ -130,21 +175,14 @@ def naive_constraints(systems_rows, n, mask, distinct, nondegenerate):
     point j), indexed lexicographically over [1,n]^d; a set is dropped when
     some other set is a proper subset of it.  Sorted by (size, indices).
     """
-    d = len(systems_rows)
     sets = set()
     for rows in naive_vector_solutions(systems_rows, n):
-        pts = {tuple(rows[i][j] for i in range(d)) for j in mask}
+        pts = set(masked_points(rows, mask))
         if distinct and len(pts) < len(mask):
             continue
         if nondegenerate and degenerate_oracle(pts):
             continue
-        idx = set()
-        for p in pts:
-            flat = 0
-            for c in p:
-                flat = flat * n + c - 1
-            idx.add(flat)
-        sets.add(frozenset(idx))
+        sets.add(frozenset(lex_index(p, n) for p in pts))
     minimal = [a for a in sets if not any(b < a for b in sets)]
     return tuple(sorted((tuple(sorted(a)) for a in minimal), key=lambda t: (len(t), t)))
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -111,6 +112,48 @@ class TestEnumerateAndCount:
         )
         doc = json.loads(result.output)
         assert doc["monochromatic"] == [3, 0]
+
+    def test_count_readme_example_pinned(self, runner, system_files):
+        result = runner.invoke(
+            main,
+            [
+                "count",
+                "-f",
+                system_files["motivating"],
+                "-n",
+                "20",
+                "--degenerate",
+                "--mask",
+                "0,1,2",
+                "--json",
+            ],
+        )
+        assert result.exit_code == 0
+        assert result.output == (
+            '{\n  "n": 20,\n  "total": 342000,\n  "degenerate": 720\n}\n'
+        )
+
+    def test_count_coloring_pinned(self, runner, system_files, tmp_path):
+        rng = random.Random(11)
+        colors = tuple(rng.randrange(3) for _ in range(144))
+        coloring = tmp_path / "c.json"
+        coloring.write_text(serialize_coloring(Coloring(12, 2, 3, colors)))
+        result = runner.invoke(
+            main,
+            [
+                "count",
+                "-f",
+                system_files["motivating"],
+                "-n",
+                "12",
+                "--coloring",
+                str(coloring),
+                "--mask",
+                "0,1,2",
+            ],
+        )
+        assert result.exit_code == 0
+        assert result.output == "total=23760 monochromatic=[1176, 612, 708]\n"
 
 
 class TestDegenerate:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +23,18 @@ from rado.lattice import (
 from rado.search import SearchProblem, build_constraints
 from rado.systems import ScalarSystem, VectorSystem
 
-from oracles import degenerate_oracle, naive_vector_solutions
+from oracles import (
+    degenerate_oracle,
+    naive_degenerate_count,
+    naive_monochromatic_counts,
+    naive_vector_solutions,
+)
 
 SCHUR = ScalarSystem.from_rows([[1, 1, -1]])
 PROGRESSION = ScalarSystem.from_rows([[-1, 1, 0, -1], [0, -1, 1, -1]])
 MOTIVATING = VectorSystem.from_rows([[[1, 1, -1, 0]], [[-1, 1, 0, -1], [0, -1, 1, -1]]])
 DIAG_SCHUR = VectorSystem.diagonal(SCHUR, 2)
+DIAG_SCHUR_3D = VectorSystem.diagonal(SCHUR, 3)
 
 
 class TestPointIndexing:
@@ -162,6 +169,76 @@ class TestMonochromatic:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             count_monochromatic(MOTIVATING, Coloring.constant(3, 2, r=1), mask=())
+
+
+# (system, n, mask) for the oracle comparisons of both tuple counts
+COUNT_CASES = (
+    [(VectorSystem((SCHUR,)), n, None) for n in (1, 3, 6, 10)]
+    + [(DIAG_SCHUR, n, None) for n in (2, 4, 6)]
+    + [
+        (MOTIVATING, n, mask)
+        for n in (3, 4)
+        for mask in (None, (0, 1, 2), (0, 3), (1,))
+    ]
+    + [(DIAG_SCHUR_3D, n, None) for n in (3, 4)]
+)
+
+
+def _case_id(case):
+    system, n, mask = case
+    mask = "full" if mask is None else "".join(map(str, mask))
+    return f"d{system.d}k{system.k}-n{n}-mask{mask}"
+
+
+def _seeded_colorings(n, d, seed):
+    """Colorings with r = 1, 2, 3, and an r=3 one that never uses color 1."""
+    rng = random.Random(seed)
+    size = n**d
+    out = [
+        Coloring(n, d, r, tuple(rng.randrange(r) for _ in range(size)))
+        for r in (1, 2, 3)
+    ]
+    out.append(Coloring(n, d, 3, tuple(rng.choice((0, 2)) for _ in range(size))))
+    return out
+
+
+@pytest.mark.parametrize("case", COUNT_CASES, ids=_case_id)
+def test_counts_match_oracles(case):
+    system, n, mask = case
+    rows = [s.coeffs for s in system.coordinate_systems]
+    oracle_mask = range(system.k) if mask is None else mask
+    assert count_degenerate(system, n, mask) == naive_degenerate_count(
+        rows, n, oracle_mask
+    )
+    for coloring in _seeded_colorings(n, system.d, n):
+        expected = naive_monochromatic_counts(
+            rows, n, oracle_mask, coloring.colors, coloring.r
+        )
+        assert count_monochromatic(system, coloring, mask) == expected, coloring
+
+
+@pytest.mark.parametrize(
+    "system, n, mask, expected",
+    [
+        (DIAG_SCHUR, 5, None, 12),
+        (DIAG_SCHUR, 10, None, 89),
+        (DIAG_SCHUR, 20, None, 480),
+        (DIAG_SCHUR, 30, None, 1305),
+        (MOTIVATING, 16, (0, 1, 2), 400),
+        (MOTIVATING, 20, (0, 1, 2), 720),
+    ],
+)
+def test_degenerate_count_pinned(system, n, mask, expected):
+    # values of a tuple-by-tuple count
+    assert count_degenerate(system, n, mask) == expected
+
+
+@pytest.mark.parametrize("mask", [(), (0, 7)])
+def test_counts_reject_bad_mask(mask):
+    with pytest.raises(ValueError):
+        count_degenerate(MOTIVATING, 3, mask)
+    with pytest.raises(ValueError):
+        count_monochromatic(MOTIVATING, Coloring.constant(3, 2), mask)
 
 
 @pytest.mark.parametrize(
