@@ -1,14 +1,4 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    # optional=True: a missing C compiler degrades to the pure-Python kernel
-    ext_modules = cythonize(
-        [Extension("rado._kernel_c", ["src/rado/_kernel_c.pyx"], optional=True)],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+# optional=True: a missing C compiler degrades to the pure-Python kernel
+setup(ext_modules=[Extension("rado._kernel_c", ["src/rado/_kernel_c.c"], optional=True)])

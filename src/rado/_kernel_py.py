@@ -2,9 +2,10 @@
 
 Decides whether the points 0..num_points-1 can be colored with `colors`
 colors so that no constraint (a set of point indices) is monochromatic.
-This is the reference implementation; the compiled twin in ``_kernel_c``
-must follow the identical decision sequence so that both return the same
-status and, on success, the same assignment.
+This is the reference implementation; the compiled twin, the hand-written
+C extension ``_kernel_c``, must follow the identical decision sequence so
+that both return the same status and, on success, the same assignment.
+Arguments are validated once, by ``kernel.solve_avoidability``.
 
 Algorithm: depth-first search over the supplied branching order with
 
@@ -37,9 +38,9 @@ def solve(
     `constraints` must not contain singletons (a singleton is unavoidable and
     should be short-circuited by the caller).  `order` lists the points the
     search may branch on; points outside it are only colored by propagation.
+    `colors` lies in 1..62 and every point index in [0, num_points); the
+    dispatcher checks both.
     """
-    if colors >= 63:
-        raise ValueError("more than 62 colors is not supported")
     ncon = len(constraints)
     cons = [tuple(c) for c in constraints]
     size = [len(c) for c in cons]

@@ -1,9 +1,11 @@
 """Backend selection for the avoidability-search kernel.
 
-The compiled extension is preferred when it imported successfully; pass
+The compiled extension ``_kernel_c`` (one hand-written C file built by
+``setup.py``) is preferred when it imported successfully; pass
 ``backend="python"`` to ``solve_avoidability`` to run the pure-Python
 implementation instead.  Both backends implement the identical deterministic
-algorithm, so results do not depend on the choice.
+algorithm, so results do not depend on the choice.  ``solve_avoidability``
+validates the arguments once for both backends; the kernels trust them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ def solve_avoidability(
     order: Sequence[int],
     backend: str | None = None,
 ) -> tuple[bool, list[int] | None]:
-    """Dispatch to the selected kernel; see ``_kernel_py.solve`` for the contract."""
+    """Dispatch to the selected kernel; see ``_kernel_py.solve`` for the contract.
+
+    Raises ValueError for a color count outside 1..62 (a point's forbidden
+    colors are one 64-bit word in the compiled kernel) or a point index,
+    in a constraint or in `order`, outside [0, num_points).
+    """
     name = backend if backend is not None else default_backend()
     try:
         fn = _BACKENDS[name]
@@ -45,4 +52,12 @@ def solve_avoidability(
         raise ValueError(
             f"unknown kernel backend {name!r}; available: {available_backends()}"
         ) from None
+    if not 1 <= colors <= 62:
+        raise ValueError(f"colors must be in 1..62, got {colors}")
+    lo = min(min(map(min, constraints), default=0), min(order, default=0))
+    hi = max(max(map(max, constraints), default=-1), max(order, default=-1))
+    if lo < 0 or hi >= num_points:
+        raise ValueError(
+            f"point indices must lie in [0, {num_points}), got {lo}..{hi}"
+        )
     return fn(num_points, colors, constraints, order)

@@ -9,11 +9,13 @@ SOME assignment of the unmasked dummy variables completes it).  Projection
 works on point indices directly: every per-coordinate solution row is turned
 once into its contributions to the masked points' lexicographic indices
 (``lattice._index_contributions``), and a tuple's index set is the sum of
-its rows' contributions.  The sets are deduplicated, the degeneracy filter
-tests each distinct set once, and a set that contains another set is
-dropped, because a coloring that splits the smaller set also splits the
-larger one; a set is found dominated by looking up each of its subsets, of
-every smaller size that occurs, among the built sets.
+its rows' contributions; rows with equal contributions (they differ only in
+unmasked columns) are merged before the product is walked.  The sets are
+deduplicated, the degeneracy filter tests each distinct set once, and a set
+that contains another set is dropped, because a coloring that splits the
+smaller set also splits the larger one; a set is found dominated by looking
+up each of its subsets, of every smaller size that occurs, among the built
+sets.
 
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
@@ -24,7 +26,7 @@ results into certified outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -33,7 +35,7 @@ from .lattice import (
     DEFAULT_BUDGET,
     Coloring,
     Point,
-    _budgeted_product,
+    _check_product_budget,
     _coordinate_solutions,
     _degenerate_point_set,
     _index_contributions,
@@ -117,10 +119,14 @@ def build_constraints(
     mask = problem.mask
     if n < 1:
         return ConstraintSet(n, d, ())
-    contribs = _index_contributions(_coordinate_solutions(system, n, budget), mask, n)
+    lists = _coordinate_solutions(system, n, budget)
+    _check_product_budget(lists, budget)
+    # rows that differ only in unmasked columns give the same contributions;
+    # deduplicating them first leaves the product's set of sets unchanged
+    contribs = [list(dict.fromkeys(c)) for c in _index_contributions(lists, mask, n)]
     distinct = problem.require_distinct
     seen: set[frozenset[int]] = set()
-    for parts in _budgeted_product(contribs, budget):
+    for parts in product(*contribs):
         s = frozenset(map(sum, zip(*parts)))
         if not distinct or len(s) == len(mask):
             seen.add(s)

@@ -1,8 +1,14 @@
+import inspect
 import random
+import signal
+import time
 
 import pytest
 
+from rado import _kernel_py
 from rado.kernel import available_backends, default_backend, solve_avoidability
+from rado.search import SearchProblem, _branch_order, build_constraints
+from rado.systems import ScalarSystem, VectorSystem
 
 from oracles import avoidable_all_colorings
 
@@ -38,6 +44,24 @@ class TestKernel:
         with pytest.raises(ValueError):
             solve_avoidability(1, 63, [], [], backend=backend)
 
+    @pytest.mark.parametrize(
+        "num_points, colors, constraints, order",
+        [
+            (2, 2, [(0, 1)], [0, 7]),  # order index past the last point
+            (2, 2, [(0, 5)], [0, 1]),  # constraint index past the last point
+            (2, 2, [(0, -1)], [0, 1]),  # negative index, no wrap-around
+            (2, 2, [(0, 1)], [-1]),
+            (2, 0, [(0, 1)], [0, 1]),
+            (2, -1, [(0, 1)], [0, 1]),
+            # 63 colors: test_color_count_cap
+        ],
+        ids=["order-7", "constraint-5", "constraint-neg", "order-neg",
+             "colors-0", "colors-neg"],
+    )
+    def test_rejects_bad_input(self, backend, num_points, colors, constraints, order):
+        with pytest.raises(ValueError):
+            solve_avoidability(num_points, colors, constraints, order, backend=backend)
+
 
 def _compiled_extension_imports():
     try:
@@ -59,10 +83,57 @@ def test_compiled_backend_is_present():
 def test_compiled_backend_is_built():
     pytest.importorskip(
         "rado._kernel_c",
-        reason="compiled kernel not built (needs Cython and a C compiler)",
+        reason="compiled kernel not built (needs a C compiler and Python.h)",
     )
     assert "c" in BACKENDS
     assert default_backend() == "c"
+
+
+needs_c = pytest.mark.skipif("c" not in BACKENDS, reason="compiled kernel not built")
+
+
+@needs_c
+def test_compiled_signature_matches_python():
+    import rado._kernel_c
+
+    compiled = inspect.signature(rado._kernel_c.solve).parameters
+    assert list(compiled) == list(inspect.signature(_kernel_py.solve).parameters)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted
+
+
+@needs_c
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_compiled_search_stops_on_signal():
+    # weak Schur, 4 colors, n = 60: avoidable, but the C kernel needs about
+    # 11 s to find a coloring (2-vCPU x86-64 VM); a handler that raises must
+    # stop it long before that, as Ctrl-C does
+    schur = VectorSystem((ScalarSystem.from_rows([[1, 1, -1]]),))
+    weak_schur = SearchProblem(schur, colors=4, require_distinct=True)
+    cs = build_constraints(weak_schur, 60)
+    order = _branch_order(cs)
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(_Interrupted):
+            solve_avoidability(60, 4, cs.constraints, order, backend="c")
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # without the signal check the handler would run only after the search
+    assert elapsed < 2
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    assert solve_avoidability(3, 2, triangle, [0, 1, 2], backend="c") == (False, None)
+    ok, colors = solve_avoidability(3, 3, triangle, [0, 1, 2], backend="c")
+    assert ok and check_witness(triangle, colors)
 
 
 def test_backends_match_brute_force_and_each_other():

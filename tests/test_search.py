@@ -6,12 +6,14 @@ from oracles import naive_constraints
 
 from rado.dpll import parse_dimacs, solve_cnf
 from rado.errors import BudgetExceededError, DimensionMismatchError
+from rado.kernel import available_backends, solve_avoidability
 from rado.lattice import Coloring, point_index
 from rado.search import (
     AVOIDABLE,
     TRIVIALLY_UNAVOIDABLE,
     UNAVOIDABLE,
     SearchProblem,
+    _branch_order,
     build_constraints,
     coloring_from_model,
     export_dimacs,
@@ -212,6 +214,29 @@ class TestFindAvoidingColoring:
     def test_invalid_box(self):
         with pytest.raises(ValueError):
             find_avoiding_coloring(SCHUR_1D, 0)
+
+
+# the search tests' problems at their largest avoidable n, and one above
+KERNEL_CASES = {
+    "flagship-r2": (MOTIV, 8),
+    "schur-r3": (SearchProblem(VectorSystem((SCHUR,)), colors=3), 13),
+    "3-ap-r2": (VDW, 8),
+}
+
+
+@pytest.mark.skipif("c" not in available_backends(), reason="compiled kernel not built")
+@pytest.mark.parametrize(
+    "label, n",
+    [(label, n) for label, (_, top) in KERNEL_CASES.items() for n in (top, top + 1)],
+    ids=lambda v: v if isinstance(v, str) else f"n{v}",
+)
+def test_backends_agree_on_search_problems(label, n):
+    problem, top = KERNEL_CASES[label]
+    cs = build_constraints(problem, n)
+    args = (n**problem.system.d, problem.colors, cs.constraints, _branch_order(cs))
+    python = solve_avoidability(*args, backend="python")
+    assert solve_avoidability(*args, backend="c") == python
+    assert python[0] == (n == top)
 
 
 class TestRadoNumber:
