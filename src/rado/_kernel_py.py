@@ -13,12 +13,17 @@ Algorithm: depth-first search over the supplied branching order with
   0..g-1 already occur on the current path (forced assignments keep this
   canonical automatically, since a color can only be forbidden after it has
   been used);
-* unit-style propagation: per-constraint counters of colored-with-g and
-  uncolored points; when all but one point of a constraint share color g,
-  the last point has g forbidden, and a point with only one color left is
-  assigned immediately; a fully monochromatic constraint backtracks.
+* unit-style propagation on bitsets: every constraint is one int mask of its
+  points, and ``notcol[g]`` is the set of points not colored g.  Coloring q
+  with g clears q from ``notcol[g]`` and intersects it with each mask of q:
+  an empty rest means a monochromatic constraint (backtrack), and a rest of
+  one uncolored point has g forbidden there; a point with only one color
+  left is assigned immediately.
 
-Tried colors ascend, so the search is deterministic.
+Each branch point snapshots the coloring, the forbidden colors and the
+``notcol`` sets and restores them after a failed color, so nothing is
+undone step by step.  Tried colors ascend and each point's constraints are
+visited in input order, so the search is deterministic.
 """
 
 from __future__ import annotations
@@ -41,27 +46,25 @@ def solve(
     `colors` lies in 1..62 and every point index in [0, num_points); the
     dispatcher checks both.
     """
-    ncon = len(constraints)
-    cons = [tuple(c) for c in constraints]
-    size = [len(c) for c in cons]
-    adj: list[list[int]] = [[] for _ in range(num_points)]
-    for ci, c in enumerate(cons):
+    bits = [1 << p for p in range(num_points)]
+    # masks[p]: the mask of every constraint holding p, in constraint order
+    masks: list[list[int]] = [[] for _ in range(num_points)]
+    for c in constraints:
+        m = 0
         for pt in c:
-            adj[pt].append(ci)
+            m |= bits[pt]
+        for pt in c:
+            masks[pt].append(m)
 
     color = [-1] * num_points
     forbid = [0] * num_points
-    cnt = [[0] * colors for _ in range(ncon)]
-    unc = size[:]
+    notcol = [-1] * colors
     full_mask = (1 << colors) - 1
-
-    assign_stack: list[int] = []
-    forb_trail: list[tuple[int, int]] = []
-    # number of colors introduced on the current path; mutable cell so that
-    # propagation inside assign() can bump it
-    introduced = [0]
+    # number of colors introduced on the current path
+    introduced = 0
 
     def assign(point: int, g: int) -> bool:
+        nonlocal introduced
         queue = [(point, g)]
         while queue:
             q, h = queue.pop()
@@ -72,78 +75,47 @@ def solve(
             if forbid[q] >> h & 1:
                 return False
             color[q] = h
-            if h >= introduced[0]:
-                introduced[0] = h + 1
-            assign_stack.append(q)
-            # on conflict, finish updating every counter of q before failing:
-            # undo() walks the full adjacency of each stacked point, so the
-            # bookkeeping must stay symmetric
-            failed = False
-            for ci in adj[q]:
-                row = cnt[ci]
-                row[h] += 1
-                unc[ci] -= 1
-                if failed:
+            if h >= introduced:
+                introduced = h + 1
+            nc = notcol[h] ^ bits[q]
+            notcol[h] = nc
+            bit = 1 << h
+            for m in masks[q]:
+                rest = m & nc
+                if not rest:
+                    return False
+                if rest & (rest - 1):
                     continue
-                if row[h] == size[ci]:
-                    failed = True
+                last = rest.bit_length() - 1
+                fb = forbid[last]
+                if color[last] >= 0 or fb & bit:
                     continue
-                if unc[ci] == 1 and row[h] == size[ci] - 1:
-                    last = -1
-                    for x in cons[ci]:
-                        if color[x] < 0:
-                            last = x
-                            break
-                    if last < 0:
-                        continue
-                    bit = 1 << h
-                    fb = forbid[last]
-                    if not fb & bit:
-                        fb |= bit
-                        forbid[last] = fb
-                        forb_trail.append((last, bit))
-                        if fb == full_mask:
-                            failed = True
-                            continue
-                        if fb.bit_count() == colors - 1:
-                            forced = (full_mask ^ fb).bit_length() - 1
-                            queue.append((last, forced))
-            if failed:
-                return False
+                fb |= bit
+                forbid[last] = fb
+                if fb == full_mask:
+                    return False
+                if fb.bit_count() == colors - 1:
+                    queue.append((last, (full_mask ^ fb).bit_length() - 1))
         return True
-
-    def undo(assign_mark: int, forb_mark: int) -> None:
-        while len(assign_stack) > assign_mark:
-            q = assign_stack.pop()
-            h = color[q]
-            for ci in adj[q]:
-                cnt[ci][h] -= 1
-                unc[ci] += 1
-            color[q] = -1
-        while len(forb_trail) > forb_mark:
-            q, bit = forb_trail.pop()
-            forbid[q] ^= bit
 
     olen = len(order)
 
     def dfs(oi: int) -> bool:
+        nonlocal introduced
         while oi < olen and color[order[oi]] >= 0:
             oi += 1
         if oi == olen:
             return True
         x = order[oi]
-        top = min(introduced[0], colors - 1)
+        top = min(introduced, colors - 1)
         fb = forbid[x]
+        saved = color[:], forbid[:], notcol[:], introduced
         for g in range(top + 1):
             if fb >> g & 1:
                 continue
-            assign_mark = len(assign_stack)
-            forb_mark = len(forb_trail)
-            saved_introduced = introduced[0]
             if assign(x, g) and dfs(oi + 1):
                 return True
-            undo(assign_mark, forb_mark)
-            introduced[0] = saved_introduced
+            color[:], forbid[:], notcol[:], introduced = saved
         return False
 
     depth_needed = num_points * 2 + 100

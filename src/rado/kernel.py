@@ -3,9 +3,11 @@
 The compiled extension ``_kernel_c`` (one hand-written C file built by
 ``setup.py``) is preferred when it imported successfully; pass
 ``backend="python"`` to ``solve_avoidability`` to run the pure-Python
-implementation instead.  Both backends implement the identical deterministic
-algorithm, so results do not depend on the choice.  ``solve_avoidability``
-validates the arguments once for both backends; the kernels trust them.
+implementation instead.  The two keep different propagation state (the C
+kernel per-constraint counters and trails, the Python kernel bitsets and
+snapshots) but follow the identical deterministic decision sequence, so
+results do not depend on the choice.  ``solve_avoidability`` validates the
+arguments once for both backends; the kernels trust them.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ def solve_avoidability(
     """Dispatch to the selected kernel; see ``_kernel_py.solve`` for the contract.
 
     Raises ValueError for a color count outside 1..62 (a point's forbidden
-    colors are one 64-bit word in the compiled kernel) or a point index,
-    in a constraint or in `order`, outside [0, num_points).
+    colors are one 64-bit word in the compiled kernel), an empty constraint,
+    or a point index, in a constraint or in `order`, outside [0, num_points).
     """
     name = backend if backend is not None else default_backend()
     try:
@@ -54,6 +56,8 @@ def solve_avoidability(
         ) from None
     if not 1 <= colors <= 62:
         raise ValueError(f"colors must be in 1..62, got {colors}")
+    if not all(constraints):
+        raise ValueError("constraints must be non-empty")
     lo = min(min(map(min, constraints), default=0), min(order, default=0))
     hi = max(max(map(max, constraints), default=-1), max(order, default=-1))
     if lo < 0 or hi >= num_points:

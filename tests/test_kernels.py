@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import signal
@@ -45,21 +46,24 @@ class TestKernel:
             solve_avoidability(1, 63, [], [], backend=backend)
 
     @pytest.mark.parametrize(
-        "num_points, colors, constraints, order",
+        "num_points, colors, constraints, order, message",
         [
-            (2, 2, [(0, 1)], [0, 7]),  # order index past the last point
-            (2, 2, [(0, 5)], [0, 1]),  # constraint index past the last point
-            (2, 2, [(0, -1)], [0, 1]),  # negative index, no wrap-around
-            (2, 2, [(0, 1)], [-1]),
-            (2, 0, [(0, 1)], [0, 1]),
-            (2, -1, [(0, 1)], [0, 1]),
+            (2, 2, [(0, 1)], [0, 7], "point indices"),  # order index past the last point
+            (2, 2, [(0, 5)], [0, 1], "point indices"),  # constraint index past the last point
+            (2, 2, [(0, -1)], [0, 1], "point indices"),  # negative index, no wrap-around
+            (2, 2, [(0, 1)], [-1], "point indices"),
+            (2, 0, [(0, 1)], [0, 1], "colors"),
+            (2, -1, [(0, 1)], [0, 1], "colors"),
+            (2, 2, [()], [0, 1], "non-empty"),
             # 63 colors: test_color_count_cap
         ],
         ids=["order-7", "constraint-5", "constraint-neg", "order-neg",
-             "colors-0", "colors-neg"],
+             "colors-0", "colors-neg", "constraint-empty"],
     )
-    def test_rejects_bad_input(self, backend, num_points, colors, constraints, order):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_input(
+        self, backend, num_points, colors, constraints, order, message
+    ):
+        with pytest.raises(ValueError, match=message):
             solve_avoidability(num_points, colors, constraints, order, backend=backend)
 
 
@@ -160,3 +164,79 @@ def test_backends_match_brute_force_and_each_other():
             "backends diverged",
             results,
         )
+
+
+def test_backends_match_on_propagation_and_partial_orders():
+    # shuffled and partial orders: points left out of `order` are colored only
+    # by propagation, a path that the brute-force test above never reaches
+    if len(BACKENDS) < 2:
+        pytest.skip("only one kernel backend available")
+    rng = random.Random(2024)
+    statuses = set()
+    propagated = 0
+    for _ in range(300):
+        num_points = rng.randint(2, 60)
+        r = rng.randint(1, 5)
+        cons = [
+            tuple(rng.sample(range(num_points), rng.randint(2, min(5, num_points))))
+            for _ in range(rng.randint(1, 4 * num_points))
+        ]
+        order = rng.sample(range(num_points), num_points)
+        if rng.random() < 0.5:
+            order = order[: rng.randint(0, num_points)]
+        results = {
+            backend: solve_avoidability(num_points, r, cons, order, backend=backend)
+            for backend in BACKENDS
+        }
+        ok, colors = results["python"]
+        assert all(res == (ok, colors) for res in results.values()), (
+            num_points, r, cons, order, results,
+        )
+        statuses.add(ok)
+        if ok and any(colors[p] for p in set(range(num_points)) - set(order)):
+            propagated += 1
+    assert statuses == {True, False}
+    assert propagated > 0
+
+
+SCHUR = VectorSystem.from_rows([[[1, 1, -1]]])
+AP3 = VectorSystem.from_rows([[[-1, 1, 0, -1], [0, -1, 1, -1]]])
+AP4 = VectorSystem.from_rows([[[-1, 1, 0, 0, -1], [0, -1, 1, 0, -1], [0, 0, -1, 1, -1]]])
+FLAGSHIP = VectorSystem.from_rows([[[1, 1, -1, 0]], [[-1, 1, 0, -1], [0, -1, 1, -1]]])
+
+# the benchmark's kernel boxes: sha256 of bytes(assignment) for avoidable
+# boxes, None for unavoidable ones; every backend must reproduce the
+# reference kernel's answer decision for decision
+BENCH_KERNEL_ANSWERS = {
+    "schur-r4-n44": (
+        SearchProblem(SCHUR, colors=4), 44,
+        "3af4a2991887abb0e22c935000fa342c996176641713a2eb64f79f6f2d515767",
+    ),
+    "flagship-r3-mask-0,1,2-n16": (
+        SearchProblem(FLAGSHIP, colors=3, mask=(0, 1, 2)), 16,
+        "264e87e135b3c406fd367d88555de126fd6ef5f387b13878e0e852bd9ea45632",
+    ),
+    "3-ap-r3-n27": (SearchProblem(AP3, colors=3, mask=(0, 1, 2)), 27, None),
+    "weak-schur-r3-n24": (
+        SearchProblem(SCHUR, colors=3, require_distinct=True), 24, None,
+    ),
+    "4-ap-r2-n35": (SearchProblem(AP4, colors=2, mask=(0, 1, 2, 3)), 35, None),
+    "flagship-r2-mask-0,1,2-n9": (
+        SearchProblem(FLAGSHIP, colors=2, mask=(0, 1, 2)), 9, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("label", BENCH_KERNEL_ANSWERS)
+def test_bench_boxes_pinned(backend, label):
+    problem, n, digest = BENCH_KERNEL_ANSWERS[label]
+    cs = build_constraints(problem, n)
+    ok, colors = solve_avoidability(
+        n**problem.system.d, problem.colors, cs.constraints, _branch_order(cs),
+        backend=backend,
+    )
+    if digest is None:
+        assert (ok, colors) == (False, None)
+    else:
+        assert ok and hashlib.sha256(bytes(colors)).hexdigest() == digest
