@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import gcd, lcm, prod
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, DimensionMismatchError, SystemFormatError
@@ -268,6 +269,25 @@ def _index_contributions(
     return out
 
 
+def _base_sums(
+    outer: list[list[tuple[int, ...]]], width: int
+) -> Counter[tuple[int, ...]]:
+    """Position-wise sums of one contribution row from each outer list.
+
+    The lists are folded in one at a time and equal partial sums merged, so
+    each distinct base appears once, weighted by the number of row
+    combinations that give it.  With no outer list the one base is zero.
+    """
+    bases = Counter({(0,) * width: 1})
+    for rows in outer:
+        step: Counter[tuple[int, ...]] = Counter()
+        for base, weight in bases.items():
+            for row in rows:
+                step[tuple(map(add, base, row))] += weight
+        bases = step
+    return bases
+
+
 def enumerate_vector_solutions(
     system: VectorSystem, n: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[SolutionTuple]:
@@ -330,13 +350,13 @@ def count_monochromatic(
 ) -> list[int]:
     """Per-color counts of solution tuples whose masked points share that color.
 
-    The product of all coordinate lists but the last is walked once and
-    summed into one base index per masked point (rows with the same bases are
-    counted together).  For a masked position and base, one bitset per color
-    marks the rows of the last list that complete that point to the color;
-    the tuples of a base monochromatic in a color are then the bits of the
-    AND of its positions' bitsets.  The tuple product, which the budget still
-    bounds, is never walked.
+    The contributions of all coordinate lists but the last are summed into
+    one base index per masked point (``_base_sums``; tuples with the same
+    bases are counted together).  For a masked position and base, one bitset
+    per color marks the rows of the last list that complete that point to
+    the color; the tuples of a base monochromatic in a color are then the
+    bits of the AND of its positions' bitsets.  The tuple product, which the
+    budget still bounds, is never walked.
     """
     if coloring.d != system.d:
         raise DimensionMismatchError(
@@ -358,10 +378,8 @@ def count_monochromatic(
             for c in palette
         ]
 
-    zero = (0,) * len(mask)  # the one base when there is no outer list (d = 1)
-    bases = Counter(tuple(map(sum, zip(zero, *parts))) for parts in product(*outer))
     counts = [0] * coloring.r
-    for base, weight in bases.items():
+    for base, weight in _base_sums(outer, len(mask)).items():
         first, *rest = (column(pos, b) for pos, b in enumerate(base))
         for c in palette:
             both = first[c]

@@ -10,23 +10,31 @@ works on point indices directly: every per-coordinate solution row is turned
 once into its contributions to the masked points' lexicographic indices
 (``lattice._index_contributions``), and a tuple's index set is the sum of
 its rows' contributions; rows with equal contributions (they differ only in
-unmasked columns) are merged before the product is walked.  The sets are
-deduplicated, the degeneracy filter tests each distinct set once, and a set
-that contains another set is dropped, because a coloring that splits the
-smaller set also splits the larger one; a set is found dominated by looking
-up each of its subsets, of every smaller size that occurs, among the built
-sets.
+unmasked columns) are merged first.  The contributions of all coordinate
+lists but the last are summed once into distinct base sums
+(``lattice._base_sums``, shared with ``count_monochromatic``), and each set is
+a base plus one row of the last list.  A tuple is degenerate exactly when its
+masked coordinate rows share one primitive form (see ``lattice``), and
+degeneracy is a property of the set, so the degeneracy filter builds the sets
+of the same-form products, form by form, and subtracts them; no set is
+decoded into points.  A set that contains another set is dropped, because a
+coloring that splits the smaller set also splits the larger one; a set is
+found dominated by looking up each of its subsets, of every smaller size that
+occurs, among the built sets (nothing is dominated when all sets have one
+size).
 
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
-point first, ties by max-norm then lexicographic position) and turns kernel
-results into certified outcomes.
+point first, ties by max-norm then index, i.e. lexicographic position) and
+turns kernel results into certified outcomes.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations
+from operator import add
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -35,10 +43,11 @@ from .lattice import (
     DEFAULT_BUDGET,
     Coloring,
     Point,
+    _base_sums,
     _check_product_budget,
     _coordinate_solutions,
-    _degenerate_point_set,
     _index_contributions,
+    _primitive,
     _resolve_mask,
     index_point,
 )
@@ -121,54 +130,72 @@ def build_constraints(
         return ConstraintSet(n, d, ())
     lists = _coordinate_solutions(system, n, budget)
     _check_product_budget(lists, budget)
-    # rows that differ only in unmasked columns give the same contributions;
-    # deduplicating them first leaves the product's set of sets unchanged
-    contribs = [list(dict.fromkeys(c)) for c in _index_contributions(lists, mask, n)]
-    distinct = problem.require_distinct
-    seen: set[frozenset[int]] = set()
-    for parts in product(*contribs):
-        s = frozenset(map(sum, zip(*parts)))
-        if not distinct or len(s) == len(mask):
-            seen.add(s)
+    seen = _index_sets(lists, mask, n)
+    if problem.require_distinct:
+        seen = {s for s in seen if len(s) == len(mask)}
     if problem.exclude_degenerate:
-        # degeneracy is a property of the point set: test each set once
-        seen -= {
-            s
-            for s in seen
-            if _degenerate_point_set(index_point(i, n, d) for i in s) is not None
-        }
+        # a tuple is degenerate exactly when its masked rows share one
+        # primitive form, and degeneracy is a property of the set, so the
+        # sets of the same-form products are exactly the degenerate sets
+        grouped = [_rows_by_form(rows, mask) for rows in lists]
+        for form in set(grouped[0]).intersection(*grouped[1:]):
+            seen -= _index_sets([g[form] for g in grouped], mask, n)
     # a set is dominated when it properly contains another set; its minimal
     # dominator is kept and lies in seen, so looking up its subsets of every
     # smaller size present in seen finds exactly the dominated sets
     sizes = {len(s) for s in seen}
-    kept = [
-        s
-        for s in seen
-        if not any(
-            frozenset(c) in seen
-            for m in sizes
-            if m < len(s)
-            for c in combinations(s, m)
-        )
-    ]
-    constraints = tuple(
-        sorted((tuple(sorted(s)) for s in kept), key=lambda t: (len(t), t))
+    if len(sizes) > 1:
+        kept = [
+            s
+            for s in seen
+            if not any(
+                frozenset(c) in seen
+                for m in sizes
+                if m < len(s)
+                for c in combinations(s, m)
+            )
+        ]
+    else:
+        kept = seen
+    constraints = sorted(map(tuple, map(sorted, kept)))
+    constraints.sort(key=len)
+    return ConstraintSet(n, d, tuple(constraints))
+
+
+def _index_sets(
+    lists: list[list[tuple[int, ...]]], mask: tuple[int, ...], n: int
+) -> set[frozenset[int]]:
+    """Distinct masked point-index sets of the tuple product of the lists."""
+    # rows that differ only in unmasked columns give the same contributions;
+    # deduplicating them first leaves the product's set of sets unchanged
+    *outer, last = (
+        list(dict.fromkeys(c)) for c in _index_contributions(lists, mask, n)
     )
-    return ConstraintSet(n, d, constraints)
+    sets: set[frozenset[int]] = set()
+    for base in _base_sums(outer, len(mask)):
+        sets.update(frozenset(map(add, base, row)) for row in last)
+    return sets
+
+
+def _rows_by_form(
+    rows: list[tuple[int, ...]], mask: tuple[int, ...]
+) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The rows of one coordinate list, grouped by their masked primitive form."""
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    for row in rows:
+        groups[_primitive(tuple(row[j] for j in mask))].append(row)
+    return groups
 
 
 def _branch_order(cs: ConstraintSet) -> list[int]:
-    """Constrained points, most constraints first; ties by max-norm then lex."""
-    degree: dict[int, int] = {}
-    for con in cs.constraints:
-        for i in con:
-            degree[i] = degree.get(i, 0) + 1
-    base = sorted(
-        degree,
-        key=lambda i: (max(index_point(i, cs.n, cs.d)), index_point(i, cs.n, cs.d)),
-    )
-    base_pos = {i: t for t, i in enumerate(base)}
-    return sorted(degree, key=lambda i: (-degree[i], base_pos[i]))
+    """Constrained points, most constraints first; ties by max-norm then lex.
+
+    Lexicographic order of points is index order, so the index breaks the
+    last tie.
+    """
+    degree = Counter(chain.from_iterable(cs.constraints))
+    n, d = cs.n, cs.d
+    return sorted(degree, key=lambda i: (-degree[i], max(index_point(i, n, d)), i))
 
 
 def find_avoiding_coloring(
@@ -187,11 +214,11 @@ def find_avoiding_coloring(
     d = problem.system.d
     r = problem.colors
     num_points = n**d
-    for con in cs.constraints:
-        if len(con) == 1:
-            return SearchOutcome(TRIVIALLY_UNAVOIDABLE, None, cs.decode(con))
     if not cs.constraints:
         return SearchOutcome(AVOIDABLE, Coloring(n, d, r, (0,) * num_points), None)
+    # constraints are sorted by size, so a singleton comes first
+    if len(cs.constraints[0]) == 1:
+        return SearchOutcome(TRIVIALLY_UNAVOIDABLE, None, cs.decode(cs.constraints[0]))
     order = _branch_order(cs)
     ok, assignment = solve_avoidability(num_points, r, cs.constraints, order)
     if ok:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from oracles import naive_constraints
@@ -27,6 +28,10 @@ SCHUR = ScalarSystem.from_rows([[1, 1, -1]])
 PROGRESSION = ScalarSystem.from_rows([[-1, 1, 0, -1], [0, -1, 1, -1]])
 MOTIVATING = VectorSystem.from_rows([[[1, 1, -1, 0]], [[-1, 1, 0, -1], [0, -1, 1, -1]]])
 DIAG_SCHUR = VectorSystem.diagonal(SCHUR, 2)
+# x + y = 2z per coordinate: rows such as (2, 4, 3) and (4, 8, 6) share a
+# primitive form without being equal, and the degenerate sets dominate many
+# others, so excluding them raises the constraint count (64 -> 464 at n = 8)
+MIDPOINT = VectorSystem.diagonal(ScalarSystem.from_rows([[1, 1, -2]]), 2)
 AP4 = ScalarSystem.from_rows([[-1, 1, 0, 0, -1], [0, -1, 1, 0, -1], [0, 0, -1, 1, -1]])
 
 SCHUR_1D = SearchProblem(VectorSystem((SCHUR,)), colors=2)
@@ -101,6 +106,19 @@ BUILD_PROBLEMS = {
     "flagship-mask-0,1,2": MOTIV,
     "flagship-mask-0,3": SearchProblem(MOTIVATING, mask=(0, 3)),
     "flagship-distinct": SearchProblem(MOTIVATING, require_distinct=True),
+    "flagship-nondegenerate": SearchProblem(MOTIVATING, exclude_degenerate=True),
+    "flagship-mask-0,1,2-nondegenerate": SearchProblem(
+        MOTIVATING, mask=(0, 1, 2), exclude_degenerate=True
+    ),
+    "diagonal-schur-nondegenerate-distinct": SearchProblem(
+        DIAG_SCHUR, exclude_degenerate=True, require_distinct=True
+    ),
+    # in one dimension every set is degenerate, so nothing is built
+    "schur-nondegenerate": SearchProblem(VectorSystem((SCHUR,)), exclude_degenerate=True),
+    "diagonal-schur-3d-nondegenerate": SearchProblem(
+        VectorSystem.diagonal(SCHUR, 3), exclude_degenerate=True
+    ),
+    "midpoint-nondegenerate": SearchProblem(MIDPOINT, exclude_degenerate=True),
 }
 
 # largest n at which the brute-force oracle is compared, per problem
@@ -113,6 +131,12 @@ ORACLE_MAX_N = {
     "flagship-mask-0,1,2": 4,
     "flagship-mask-0,3": 4,
     "flagship-distinct": 4,
+    "flagship-nondegenerate": 4,
+    "flagship-mask-0,1,2-nondegenerate": 4,
+    "diagonal-schur-nondegenerate-distinct": 6,
+    "schur-nondegenerate": 12,
+    "diagonal-schur-3d-nondegenerate": 4,
+    "midpoint-nondegenerate": 8,
 }
 
 
@@ -159,6 +183,19 @@ BUILD_PINS = {
 def test_build_pinned(label, n):
     constraints = build_constraints(BUILD_PROBLEMS[label], n).constraints
     assert hashlib.sha256(repr(constraints).encode()).hexdigest() == BUILD_PINS[label, n]
+
+
+@pytest.mark.parametrize(
+    "label, n",
+    [("flagship-mask-0,1,2", 9), ("diagonal-schur-nondegenerate", 9), ("4-ap", 16)],
+    ids=lambda v: v if isinstance(v, str) else f"n{v}",
+)
+def test_branch_order(label, n):
+    cs = build_constraints(BUILD_PROBLEMS[label], n)
+    points = list(itertools.product(range(1, n + 1), repeat=cs.d))
+    degree = Counter(i for con in cs.constraints for i in con)
+    expected = sorted(degree, key=lambda i: (-degree[i], max(points[i]), points[i]))
+    assert _branch_order(cs) == expected
 
 
 class TestFindAvoidingColoring:
