@@ -9,8 +9,10 @@
    Constraints are stored CSR-style: constraint i is
    con_data[con_off[i] .. con_off[i+1]), and the constraints containing
    point q are adj_data[adj_off[q] .. adj_off[q+1]), in increasing order.
-   Every assignment and every forbidden color bit is trailed, so undo()
-   restores the state exactly.  The DFS polls for signals every
+   Both kernels test a constraint the same way (assign below) and differ
+   only in how they restore state: _kernel_py snapshots it per branch point,
+   while here every assignment and every forbidden color bit is trailed, so
+   undo() restores the state exactly.  The DFS polls for signals every
    SIGNAL_CHECK_MASK + 1 calls, so Ctrl-C stops a long search. */
 
 #define PY_SSIZE_T_CLEAN
@@ -25,9 +27,6 @@ typedef struct {
     u64 full_mask;
     int *con_off, *con_data;
     int *adj_off, *adj_data;
-    int *size;          /* points per constraint */
-    int *cnt;           /* cnt[i * colors + g]: points of constraint i colored g */
-    int *unc;           /* uncolored points per constraint */
     int *color;         /* per point, -1 while uncolored */
     u64 *forbid;        /* per point, bit g set when g is forbidden */
     int *order;
@@ -88,8 +87,8 @@ engine_init(Engine *e, int num_points, int colors, PyObject *constraints,
     e->colors = colors;
     e->olen = (int)PySequence_Fast_GET_SIZE(ord);
     e->full_mask = (1ULL << colors) - 1;
-    e->ints = PyMem_Calloc(3 * ncon + 1 + 2 * total + 5 * (size_t)num_points + 4
-                           + ncon * colors + e->olen + trail, sizeof(int));
+    e->ints = PyMem_Calloc(ncon + 1 + 2 * total + 5 * (size_t)num_points + 4
+                           + e->olen + trail, sizeof(int));
     e->words = PyMem_Calloc(num_points + trail, sizeof(u64));
     if (e->ints == NULL || e->words == NULL) {
         PyErr_NoMemory();
@@ -100,9 +99,6 @@ engine_init(Engine *e, int num_points, int colors, PyObject *constraints,
     e->con_data = p;      p += total;
     e->adj_off = p;       p += num_points + 2;
     e->adj_data = p;      p += total;
-    e->size = p;          p += ncon;
-    e->cnt = p;           p += ncon * colors;
-    e->unc = p;           p += ncon;
     e->color = p;         p += num_points;
     e->order = p;         p += e->olen;
     e->assign_stack = p;  p += num_points;
@@ -117,8 +113,7 @@ engine_init(Engine *e, int num_points, int colors, PyObject *constraints,
         int pos = e->con_off[i];
         if (copy_ints(c, e->con_data + pos) < 0)
             goto done;
-        e->size[i] = e->unc[i] = (int)PySequence_Fast_GET_SIZE(c);
-        e->con_off[i + 1] = pos + e->size[i];
+        e->con_off[i + 1] = pos + (int)PySequence_Fast_GET_SIZE(c);
     }
     if (copy_ints(ord, e->order) < 0)
         goto done;
@@ -151,16 +146,19 @@ popcount64(u64 x)
     return c;
 }
 
-/* Color point with g and propagate; 0 on a conflict. */
+/* Color point with g and propagate; 0 on a conflict.  Each constraint of a
+   newly colored point q is tested as in _kernel_py: its points not colored
+   h are counted, stopping at two.  None means a monochromatic constraint;
+   one that is still uncolored has h forbidden. */
 static int
 assign(Engine *e, int point, int g)
 {
-    const int colors = e->colors;
     int qtop = 0;
     e->queue_pts[qtop] = point;
     e->queue_cols[qtop++] = g;
     while (qtop > 0) {
-        int q, h, a, failed = 0;
+        int q, h, a;
+        u64 bit;
         qtop--;
         q = e->queue_pts[qtop];
         h = e->queue_cols[qtop];
@@ -175,31 +173,20 @@ assign(Engine *e, int point, int g)
         if (h >= e->introduced)
             e->introduced = h + 1;
         e->assign_stack[e->as_top++] = q;
-        /* on conflict, finish updating every counter of q before failing:
-           undo() walks the full adjacency of each stacked point, so the
-           bookkeeping must stay symmetric */
+        bit = 1ULL << h;
         for (a = e->adj_off[q]; a < e->adj_off[q + 1]; a++) {
-            int ci = e->adj_data[a], x, last = -1;
-            int count = ++e->cnt[(Py_ssize_t)ci * colors + h];
-            u64 bit, fb;
-            e->unc[ci]--;
-            if (failed)
-                continue;
-            if (count == e->size[ci]) {
-                failed = 1;
-                continue;
-            }
-            if (e->unc[ci] != 1 || count != e->size[ci] - 1)
-                continue;
-            for (x = e->con_off[ci]; x < e->con_off[ci + 1]; x++) {
-                if (e->color[e->con_data[x]] < 0) {
+            int ci = e->adj_data[a], x, last = -1, rest = 0;
+            u64 fb;
+            for (x = e->con_off[ci]; x < e->con_off[ci + 1] && rest < 2; x++) {
+                if (e->color[e->con_data[x]] != h) {
                     last = e->con_data[x];
-                    break;
+                    rest++;
                 }
             }
-            if (last < 0)
+            if (rest == 0)
+                return 0;
+            if (rest > 1 || e->color[last] >= 0)
                 continue;
-            bit = 1ULL << h;
             fb = e->forbid[last];
             if (fb & bit)
                 continue;
@@ -207,11 +194,9 @@ assign(Engine *e, int point, int g)
             e->forbid[last] = fb;
             e->forb_pts[e->fb_top] = last;
             e->forb_bits[e->fb_top++] = bit;
-            if (fb == e->full_mask) {
-                failed = 1;
-                continue;
-            }
-            if (popcount64(fb) == colors - 1) {
+            if (fb == e->full_mask)
+                return 0;
+            if (popcount64(fb) == e->colors - 1) {
                 u64 left = e->full_mask ^ fb;
                 int forced = 0;
                 while (!(left >> forced & 1))
@@ -220,8 +205,6 @@ assign(Engine *e, int point, int g)
                 e->queue_cols[qtop++] = forced;
             }
         }
-        if (failed)
-            return 0;
     }
     return 1;
 }
@@ -229,16 +212,8 @@ assign(Engine *e, int point, int g)
 static void
 undo(Engine *e, int assign_mark, int forb_mark)
 {
-    const int colors = e->colors;
-    while (e->as_top > assign_mark) {
-        int q = e->assign_stack[--e->as_top], h = e->color[q], a;
-        for (a = e->adj_off[q]; a < e->adj_off[q + 1]; a++) {
-            int ci = e->adj_data[a];
-            e->cnt[(Py_ssize_t)ci * colors + h]--;
-            e->unc[ci]++;
-        }
-        e->color[q] = -1;
-    }
+    while (e->as_top > assign_mark)
+        e->color[e->assign_stack[--e->as_top]] = -1;
     while (e->fb_top > forb_mark) {
         e->fb_top--;
         e->forbid[e->forb_pts[e->fb_top]] ^= e->forb_bits[e->fb_top];

@@ -3,7 +3,8 @@
 Every subcommand supports --json for structured output.  Exit codes: 0 for
 success / a positive finding, 1 for a domain negative (condition fails,
 coloring avoidable, nothing found, max-n exceeded), 2 for usage or input
-errors.
+errors.  Each command returns ``(doc, text, code)``, and `emits` turns that
+into output and an exit code the same way for all of them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
+from typing import NoReturn
 
 import click
 
@@ -19,7 +21,6 @@ from .construct import build_difference_families, check_difference_families
 from .errors import RadoError
 from .lattice import (
     DEFAULT_BUDGET,
-    Coloring,
     count_degenerate,
     count_monochromatic,
     count_solutions,
@@ -45,24 +46,14 @@ from .search import (
 )
 from .systems import (
     DEFAULT_COLUMN_LIMIT,
-    VectorSystem,
     check_columns_condition,
     parse_system,
 )
 
 
-def _echo_json(doc) -> None:
-    click.echo(json.dumps(doc, indent=2))
-
-
-def _load_system(path: str) -> VectorSystem:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
-
-
-def _load_coloring(path: str) -> Coloring:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_coloring(fh.read())
+        return fh.read()
 
 
 def _write(path: str, text: str) -> None:
@@ -93,16 +84,28 @@ def _parse_points(_ctx, _param, value):
         )
 
 
-def domain_errors(fn):
-    """Map library input errors to exit code 2."""
+def _finish(text: str, code: int, err: bool = False) -> NoReturn:
+    click.echo(text, err=err)
+    sys.exit(code)
 
+
+def emits(fn):
+    """Declare --json, then print the ``(doc, text, code)`` that ``fn`` returns.
+
+    ``doc`` is printed as indented JSON under --json or when ``text`` is None,
+    ``text`` otherwise, and the process exits with ``code``.  A library input
+    error (`RadoError`, `OSError`, `ValueError`) prints ``error: ...`` to
+    stderr and exits 2.
+    """
+
+    @click.option("--json", "as_json", is_flag=True, help="Structured output.")
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(*args, as_json, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            doc, text, code = fn(*args, **kwargs)
         except (RadoError, OSError, ValueError) as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(2)
+            _finish(f"error: {e}", 2, err=True)
+        _finish(json.dumps(doc, indent=2) if as_json or text is None else text, code)
 
     return wrapper
 
@@ -115,7 +118,7 @@ system_option = click.option(
     type=click.Path(exists=True, dir_okay=False),
     help="System file (JSON).",
 )
-json_option = click.option("--json", "as_json", is_flag=True, help="Structured output.")
+box_option = click.option("-n", "box", type=int, required=True, help="Box side n.")
 budget_option = click.option(
     "--budget",
     type=int,
@@ -142,11 +145,28 @@ distinct_option = click.option(
 )
 
 
+def witness_option(help_text: str):
+    return click.option(
+        "--emit-witness",
+        "witness_path",
+        type=click.Path(dir_okay=False, writable=True),
+        default=None,
+        help=help_text,
+    )
+
+
+def mpc_options(fn):
+    """Declare the required integer parameters --m, --p and --c, in that order."""
+    for name in "cpm":
+        fn = click.option(f"--{name}", name, type=int, required=True)(fn)
+    return fn
+
+
 def problem_options(fn):
     """Declare the search-problem options and pass ``fn`` a built `SearchProblem`.
 
     Building the problem reads the system file and validates the mask and the
-    color count, so ``domain_errors`` must wrap this decorator.
+    color count, so `emits` must wrap this decorator.
     """
 
     @system_option
@@ -159,7 +179,7 @@ def problem_options(fn):
     @functools.wraps(fn)
     def wrapper(system_path, colors, mask, exclude_degenerate, distinct, **kwargs):
         problem = SearchProblem(
-            _load_system(system_path),
+            parse_system(_read(system_path)),
             colors=colors,
             mask=mask,
             exclude_degenerate=exclude_degenerate,
@@ -185,11 +205,10 @@ def main():
     show_default=True,
     help="Refuse matrices with more columns than this.",
 )
-@json_option
-@domain_errors
-def cmd_check_columns(system_path, limit, as_json):
+@emits
+def cmd_check_columns(system_path, limit):
     """Decide the columns condition for every coordinate matrix."""
-    system = _load_system(system_path)
+    system = parse_system(_read(system_path))
     reports = [check_columns_condition(s, limit) for s in system.coordinate_systems]
     doc = {
         "coordinates": [
@@ -203,32 +222,29 @@ def cmd_check_columns(system_path, limit, as_json):
         ],
         "all_satisfy": all(rep.satisfies for rep in reports),
     }
-    if as_json:
-        _echo_json(doc)
-    else:
-        for i, rep in enumerate(reports):
-            blocks = (
-                " blocks=" + ";".join(",".join(map(str, b)) for b in rep.witness.blocks)
-                if rep.witness
-                else ""
-            )
-            click.echo(
-                f"coordinate {i}: satisfies={rep.satisfies} rank={rep.rank}"
-                f" full_rank={rep.full_rank}{blocks}"
-            )
-    sys.exit(0 if doc["all_satisfy"] else 1)
+    lines = []
+    for i, rep in enumerate(reports):
+        blocks = (
+            " blocks=" + ";".join(",".join(map(str, b)) for b in rep.witness.blocks)
+            if rep.witness
+            else ""
+        )
+        lines.append(
+            f"coordinate {i}: satisfies={rep.satisfies} rank={rep.rank}"
+            f" full_rank={rep.full_rank}{blocks}"
+        )
+    return doc, "\n".join(lines), 0 if doc["all_satisfy"] else 1
 
 
 @main.command("enumerate")
 @system_option
-@click.option("-n", "box", type=int, required=True, help="Box side n.")
+@box_option
 @click.option("--head", type=int, default=0, help="Print at most this many tuples (0 = all).")
 @budget_option
-@json_option
-@domain_errors
-def cmd_enumerate(system_path, box, head, budget, as_json):
+@emits
+def cmd_enumerate(system_path, box, head, budget):
     """List solution tuples in [1,n]^d (points as columns)."""
-    system = _load_system(system_path)
+    system = parse_system(_read(system_path))
     tuples = []
     for i, sol in enumerate(enumerate_vector_solutions(system, box, budget)):
         if head and i >= head:
@@ -236,18 +252,14 @@ def cmd_enumerate(system_path, box, head, budget, as_json):
         tuples.append([list(p) for p in sol.points])
     total = count_solutions(system, box, budget)
     doc = {"n": box, "total": total, "printed": len(tuples), "solutions": tuples}
-    if as_json:
-        _echo_json(doc)
-    else:
-        click.echo(f"total {total} solution tuples in [1,{box}]^{system.d}")
-        for points in tuples:
-            click.echo(" ".join("(" + ",".join(map(str, p)) + ")" for p in points))
-    sys.exit(0)
+    lines = [f"total {total} solution tuples in [1,{box}]^{system.d}"]
+    lines += [" ".join("(" + ",".join(map(str, p)) + ")" for p in points) for points in tuples]
+    return doc, "\n".join(lines), 0
 
 
 @main.command("count")
 @system_option
-@click.option("-n", "box", type=int, required=True, help="Box side n.")
+@box_option
 @click.option("--degenerate", "count_deg", is_flag=True, help="Also count degenerate tuples.")
 @mask_option
 @click.option(
@@ -258,27 +270,18 @@ def cmd_enumerate(system_path, box, head, budget, as_json):
     help="Also count monochromatic tuples per color of this coloring file.",
 )
 @budget_option
-@json_option
-@domain_errors
-def cmd_count(system_path, box, count_deg, mask, coloring_path, budget, as_json):
+@emits
+def cmd_count(system_path, box, count_deg, mask, coloring_path, budget):
     """Count solution tuples in [1,n]^d."""
-    system = _load_system(system_path)
+    system = parse_system(_read(system_path))
     doc = {"n": box, "total": count_solutions(system, box, budget)}
     if count_deg:
         doc["degenerate"] = count_degenerate(system, box, mask, budget)
     if coloring_path:
-        coloring = _load_coloring(coloring_path)
+        coloring = parse_coloring(_read(coloring_path))
         doc["monochromatic"] = count_monochromatic(system, coloring, mask, budget)
-    if as_json:
-        _echo_json(doc)
-    else:
-        line = f"total={doc['total']}"
-        if "degenerate" in doc:
-            line += f" degenerate={doc['degenerate']}"
-        if "monochromatic" in doc:
-            line += f" monochromatic={doc['monochromatic']}"
-        click.echo(line)
-    sys.exit(0)
+    text = " ".join(f"{key}={doc[key]}" for key in doc if key != "n")
+    return doc, text, 0
 
 
 @main.command("degenerate")
@@ -288,9 +291,8 @@ def cmd_count(system_path, box, count_deg, mask, coloring_path, budget, as_json)
     callback=_parse_points,
     help="Point set, e.g. '1,2;2,4;3,6'.",
 )
-@json_option
-@domain_errors
-def cmd_degenerate(points, as_json):
+@emits
+def cmd_degenerate(points):
     """Classify a point set; exit 0 when degenerate, 1 otherwise."""
     report = is_degenerate(points)
     doc = {
@@ -298,36 +300,21 @@ def cmd_degenerate(points, as_json):
         "direction": list(report.direction) if report.direction else None,
         "multipliers": list(report.multipliers) if report.multipliers else None,
     }
-    if as_json:
-        _echo_json(doc)
-    else:
-        if report.degenerate:
-            click.echo(
-                f"degenerate: direction={report.direction} multipliers={report.multipliers}"
-            )
-        else:
-            click.echo("non-degenerate")
-    sys.exit(0 if report.degenerate else 1)
+    if not report.degenerate:
+        return doc, "non-degenerate", 1
+    text = f"degenerate: direction={report.direction} multipliers={report.multipliers}"
+    return doc, text, 0
 
 
 @main.command("search")
-@click.option("-n", "box", type=int, required=True, help="Box side n.")
-@click.option(
-    "--emit-witness",
-    "witness_path",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Write the avoiding coloring to this file when one exists.",
-)
+@box_option
+@witness_option("Write the avoiding coloring to this file when one exists.")
 @budget_option
-@json_option
-@domain_errors
+@emits
 @problem_options
-def cmd_search(problem, box, witness_path, budget, as_json):
+def cmd_search(problem, box, witness_path, budget):
     """Decide avoidability of [1,n]^d; exit 0 when unavoidable, 1 when avoidable."""
     outcome = find_avoiding_coloring(problem, box, budget)
-    if outcome.witness is not None and witness_path:
-        _write(witness_path, serialize_coloring(outcome.witness))
     doc = {
         "n": box,
         "status": outcome.status,
@@ -338,29 +325,20 @@ def cmd_search(problem, box, witness_path, budget, as_json):
             else None
         ),
     }
-    if as_json:
-        _echo_json(doc)
-    else:
-        click.echo(f"n={box}: {outcome.status}")
-        if witness_path and outcome.witness is not None:
-            click.echo(f"witness written to {witness_path}")
-    sys.exit(1 if outcome.status == AVOIDABLE else 0)
+    text = f"n={box}: {outcome.status}"
+    if witness_path and outcome.witness is not None:
+        _write(witness_path, serialize_coloring(outcome.witness))
+        text += f"\nwitness written to {witness_path}"
+    return doc, text, 1 if outcome.status == AVOIDABLE else 0
 
 
 @main.command("rado-number")
 @click.option("--max-n", type=int, required=True, help="Stop the scan at this box side.")
-@click.option(
-    "--emit-witness",
-    "witness_path",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Write the last avoiding coloring found during the scan.",
-)
+@witness_option("Write the last avoiding coloring found during the scan.")
 @budget_option
-@json_option
-@domain_errors
+@emits
 @problem_options
-def cmd_rado_number(problem, max_n, witness_path, budget, as_json):
+def cmd_rado_number(problem, max_n, witness_path, budget):
     """Minimal n whose every coloring has a monochromatic constrained solution."""
     result = rado_number(problem, max_n, budget)
     if result.witness is not None and witness_path:
@@ -371,13 +349,9 @@ def cmd_rado_number(problem, max_n, witness_path, budget, as_json):
         "searched_to": result.searched_to,
         "witness": asdict(result.witness) if result.witness else None,
     }
-    if as_json:
-        _echo_json(doc)
-    elif result.found:
-        click.echo(str(result.value))
-    else:
-        click.echo(f"avoidable through n={result.searched_to}")
-    sys.exit(0 if result.found else 1)
+    if result.found:
+        return doc, str(result.value), 0
+    return doc, f"avoidable through n={result.searched_to}", 1
 
 
 @main.command("verify")
@@ -399,22 +373,12 @@ def cmd_rado_number(problem, max_n, witness_path, budget, as_json):
 @exclude_degenerate_option
 @distinct_option
 @budget_option
-@json_option
-@domain_errors
-def cmd_verify(
-    system_path,
-    witness_path,
-    colors,
-    mask,
-    exclude_degenerate,
-    distinct,
-    budget,
-    as_json,
-):
+@emits
+def cmd_verify(system_path, witness_path, colors, mask, exclude_degenerate, distinct, budget):
     """Check a coloring certificate; exit 0 when it avoids all constraints."""
-    witness = _load_coloring(witness_path)
+    witness = parse_coloring(_read(witness_path))
     problem = SearchProblem(
-        _load_system(system_path),
+        parse_system(_read(system_path)),
         colors=colors if colors is not None else witness.r,
         mask=mask,
         exclude_degenerate=exclude_degenerate,
@@ -430,20 +394,14 @@ def cmd_verify(
         ),
         "color": report.color,
     }
-    if as_json:
-        _echo_json(doc)
-    elif report.passed:
-        click.echo("witness passes")
-    else:
-        click.echo(
-            f"witness fails: constraint {report.violated_constraint} "
-            f"is monochromatic in color {report.color}"
-        )
-    sys.exit(0 if report.passed else 1)
+    if report.passed:
+        return doc, "witness passes", 0
+    constraint, color = report.violated_constraint, report.color
+    return doc, f"witness fails: constraint {constraint} is monochromatic in color {color}", 1
 
 
 @main.command("export-dimacs")
-@click.option("-n", "box", type=int, required=True, help="Box side n.")
+@box_option
 @click.option(
     "-o",
     "--output",
@@ -453,27 +411,19 @@ def cmd_verify(
     help="Write the CNF here instead of stdout.",
 )
 @budget_option
-@json_option
-@domain_errors
+@emits
 @problem_options
-def cmd_export_dimacs(problem, box, output_path, budget, as_json):
+def cmd_export_dimacs(problem, box, output_path, budget):
     """Emit a CNF that is satisfiable exactly when [1,n]^d is avoidable."""
     text = export_dimacs(problem, box, budget)
     if output_path:
         _write(output_path, text)
-        if as_json:
-            _echo_json({"written": output_path})
-        else:
-            click.echo(f"CNF written to {output_path}")
-    elif as_json:
-        header = next(l for l in text.splitlines() if l.startswith("p cnf"))
-        _, _, num_vars, num_clauses = header.split()
-        _echo_json(
-            {"num_vars": int(num_vars), "num_clauses": int(num_clauses), "cnf": text}
-        )
-    else:
-        click.echo(text, nl=False)
-    sys.exit(0)
+        return {"written": output_path}, f"CNF written to {output_path}", 0
+    header = next(l for l in text.splitlines() if l.startswith("p cnf"))
+    _, _, num_vars, num_clauses = header.split()
+    doc = {"num_vars": int(num_vars), "num_clauses": int(num_clauses), "cnf": text}
+    # the CNF ends in a newline, which printing adds back
+    return doc, text.removesuffix("\n"), 0
 
 
 @main.group("mpc")
@@ -482,20 +432,13 @@ def mpc_group():
 
 
 @mpc_group.command("gen")
-@click.option("--m", "m", type=int, required=True)
-@click.option("--p", "p", type=int, required=True)
-@click.option("--c", "c", type=int, required=True)
+@mpc_options
 @click.option("--gens", required=True, callback=_parse_ints, help="Comma-separated generators.")
-@json_option
-@domain_errors
-def cmd_mpc_gen(m, p, c, gens, as_json):
+@emits
+def cmd_mpc_gen(m, p, c, gens):
     """Generate the set for given parameters and generators."""
     values = generate_mpc(MpcSpec(m, p, c), gens)
-    if as_json:
-        _echo_json({"set": list(values)})
-    else:
-        click.echo(" ".join(map(str, values)))
-    sys.exit(0)
+    return {"set": list(values)}, " ".join(map(str, values)), 0
 
 
 @mpc_group.command("find-mono")
@@ -506,14 +449,11 @@ def cmd_mpc_gen(m, p, c, gens, as_json):
     type=click.Path(exists=True, dir_okay=False),
     help="1-d coloring certificate file.",
 )
-@click.option("--m", "m", type=int, required=True)
-@click.option("--p", "p", type=int, required=True)
-@click.option("--c", "c", type=int, required=True)
-@json_option
-@domain_errors
-def cmd_mpc_find_mono(coloring_path, m, p, c, as_json):
+@mpc_options
+@emits
+def cmd_mpc_find_mono(coloring_path, m, p, c):
     """Search for generators whose set is monochromatic; exit 1 when none."""
-    coloring = _load_coloring(coloring_path)
+    coloring = parse_coloring(_read(coloring_path))
     spec = MpcSpec(m, p, c)
     gens = find_mono_mpc(coloring, spec)
     doc = {
@@ -521,25 +461,18 @@ def cmd_mpc_find_mono(coloring_path, m, p, c, as_json):
         "generators": list(gens) if gens else None,
         "set": list(generate_mpc(spec, gens)) if gens else None,
     }
-    if as_json:
-        _echo_json(doc)
-    elif gens:
-        click.echo("generators " + ",".join(map(str, gens)))
-    else:
-        click.echo("no monochromatic set")
-    sys.exit(0 if gens else 1)
+    if gens:
+        return doc, "generators " + ",".join(map(str, gens)), 0
+    return doc, "no monochromatic set", 1
 
 
 @mpc_group.command("embed")
-@click.option("--m", "m", type=int, required=True)
-@click.option("--p", "p", type=int, required=True)
-@click.option("--c", "c", type=int, required=True)
+@mpc_options
 @click.option("--low", "low_exp", type=int, required=True, help="Target power of c.")
 @click.option("--high", "high_exp", type=int, required=True, help="Source power of c.")
 @click.option("--gens", required=True, callback=_parse_ints)
-@json_option
-@domain_errors
-def cmd_mpc_embed(m, p, c, low_exp, high_exp, gens, as_json):
+@emits
+def cmd_mpc_embed(m, p, c, low_exp, high_exp, gens):
     """Scale generators down one structure level and check the containment."""
     scaled = embed_mpc(m, p, c, low_exp, high_exp, gens)
     inner = generate_mpc(MpcSpec(m, p, c**low_exp), scaled)
@@ -550,38 +483,27 @@ def cmd_mpc_embed(m, p, c, low_exp, high_exp, gens, as_json):
         "outer_set": list(outer),
         "contained": True,
     }
-    if as_json:
-        _echo_json(doc)
-    else:
-        click.echo("generators " + ",".join(map(str, scaled)))
-    sys.exit(0)
+    return doc, "generators " + ",".join(map(str, scaled)), 0
 
 
 @mpc_group.command("contains")
 @system_option
 @click.option("--coordinate", type=int, default=0, show_default=True, help="Which coordinate system to solve.")
-@click.option("--m", "m", type=int, required=True)
-@click.option("--p", "p", type=int, required=True)
-@click.option("--c", "c", type=int, required=True)
+@mpc_options
 @click.option("--gens", required=True, callback=_parse_ints)
 @budget_option
-@json_option
-@domain_errors
-def cmd_mpc_contains(system_path, coordinate, m, p, c, gens, budget, as_json):
+@emits
+def cmd_mpc_contains(system_path, coordinate, m, p, c, gens, budget):
     """Search the generated set for a solution tuple; exit 1 when none."""
-    system = _load_system(system_path)
+    system = parse_system(_read(system_path))
     if not 0 <= coordinate < system.d:
         raise click.BadParameter(f"coordinate must lie in [0, {system.d})")
     scalar = system.coordinate_systems[coordinate]
     solution = mpc_contains_solution(MpcSpec(m, p, c), gens, scalar, budget)
     doc = {"found": solution is not None, "solution": list(solution) if solution else None}
-    if as_json:
-        _echo_json(doc)
-    elif solution:
-        click.echo(" ".join(map(str, solution)))
-    else:
-        click.echo("no solution in the set")
-    sys.exit(0 if solution else 1)
+    if solution:
+        return doc, " ".join(map(str, solution)), 0
+    return doc, "no solution in the set", 1
 
 
 @main.command("observe")
@@ -589,9 +511,8 @@ def cmd_mpc_contains(system_path, coordinate, m, p, c, gens, budget, as_json):
 @click.option("--k", "k", type=int, required=True, help="Left family size.")
 @click.option("--l", "l", type=int, required=True, help="Right family size.")
 @click.option("--d", "d", type=int, required=True, help="Dimension.")
-@json_option
-@domain_errors
-def cmd_observe(indices, k, l, d, as_json):
+@emits
+def cmd_observe(indices, k, l, d):
     """Build the power-difference families and print their check report as JSON."""
     families = build_difference_families(indices, k, l, d)
     report = check_difference_families(families, d, k, l)
@@ -601,8 +522,7 @@ def cmd_observe(indices, k, l, d, as_json):
         "report": asdict(report),
         "all_pass": report.all_pass(),
     }
-    _echo_json(doc)
-    sys.exit(0 if report.all_pass() else 1)
+    return doc, None, 0 if report.all_pass() else 1
 
 
 if __name__ == "__main__":

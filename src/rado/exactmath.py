@@ -52,14 +52,8 @@ class RMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), width, tuple(x for r in rows for x in r))
 
-    def entry(self, i: int, j: int) -> Rational:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Rational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[Rational, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_lists(self) -> list[list[Rational]]:
         return [list(self.row(i)) for i in range(self.rows)]

@@ -3,11 +3,13 @@
 The compiled extension ``_kernel_c`` (one hand-written C file built by
 ``setup.py``) is preferred when it imported successfully; pass
 ``backend="python"`` to ``solve_avoidability`` to run the pure-Python
-implementation instead.  The two keep different propagation state (the C
-kernel per-constraint counters and trails, the Python kernel bitsets and
-snapshots) but follow the identical deterministic decision sequence, so
-results do not depend on the choice.  ``solve_avoidability`` validates the
-arguments once for both backends; the kernels trust them.
+implementation instead.  Both test a constraint the same way (count its
+points not colored h, stopping at two) and differ only in how they restore
+state on backtracking: the Python kernel snapshots it per branch point, the
+C kernel trails every change.  They follow the identical deterministic
+decision sequence, so results do not depend on the choice.
+``solve_avoidability`` validates the arguments once for both backends; the
+kernels trust them.
 """
 
 from __future__ import annotations

@@ -8,16 +8,12 @@ the Cartesian product across coordinates.  Every enumeration is guarded by a
 candidate budget so oversized requests fail fast instead of running for
 hours.
 
-Degeneracy: a point set is degenerate when all points are positive integer
-multiples of one common direction.  Since parallel integer points share a
-primitive direction and integrality of the multipliers is then automatic, the
-classifier divides the first point by the gcd of its coordinates and tests
-everything against that single candidate direction.  Read by coordinates, k
-points p_j = m_j * v are degenerate exactly when every coordinate row
-(p_1[i], ..., p_k[i]) = v[i] * (m_1, ..., m_k) is a positive multiple of one
-shared vector, i.e. when all rows have the same primitive form (row divided
-by its gcd).  The tuple counts use this to work per coordinate list instead
-of per tuple.
+Degeneracy: a point set is degenerate when all its points have the same
+primitive form (point divided by the gcd of its coordinates), i.e. lie on
+one ray.  Read by coordinates, k points p_j = m_j * v are degenerate exactly
+when all their coordinate rows (p_1[i], ..., p_k[i]) = v[i] * (m_1, ..., m_k)
+have the same primitive form, so the tuple counts and the constraint build
+work per coordinate list instead of per tuple.
 """
 
 from __future__ import annotations
@@ -67,14 +63,6 @@ class SolutionTuple:
     """k points whose coordinate rows satisfy the per-coordinate systems."""
 
     points: tuple[Point, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.points)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.points[0])
 
     def coordinate_row(self, i: int) -> tuple[int, ...]:
         return tuple(p[i] for p in self.points)
@@ -126,23 +114,6 @@ def _primitive(point: Point) -> Point:
     return tuple(c // g for c in point)
 
 
-def _degenerate_point_set(points: Iterable[Point]) -> tuple[Point, list[int]] | None:
-    """Direction and multipliers if degenerate, else None.  No validation."""
-    pts = sorted(set(points))
-    v = _primitive(pts[0])
-    v0 = v[0]
-    mults = []
-    for p in pts:
-        m, rem = divmod(p[0], v0)
-        if rem:
-            return None
-        for a, b in zip(p[1:], v[1:]):
-            if a != m * b:
-                return None
-        mults.append(m)
-    return v, mults
-
-
 def is_degenerate(points: Iterable[Point]) -> DegeneracyReport:
     """Classify a finite point set; carries direction and multipliers when degenerate.
 
@@ -158,11 +129,10 @@ def is_degenerate(points: Iterable[Point]) -> DegeneracyReport:
             raise DimensionMismatchError("points of mixed dimension")
         if any(c < 1 for c in p):
             raise ValueError(f"point {p} has a coordinate below 1")
-    hit = _degenerate_point_set(pts)
-    if hit is None:
+    forms = {_primitive(p) for p in pts}
+    if len(forms) > 1:
         return DegeneracyReport(False, None, None)
-    v, mults = hit
-    return DegeneracyReport(True, v, tuple(mults))
+    return DegeneracyReport(True, forms.pop(), tuple(gcd(*p) for p in pts))
 
 
 def enumerate_scalar_solutions(

@@ -121,17 +121,18 @@ def naive_vector_solutions(systems_rows, n):
 
 @cache
 def _naive_vector_solutions(systems_rows, n):
-    d = len(systems_rows)
+    # the coordinates constrain disjoint rows of the grid, so the grids are
+    # the product of each coordinate's rows in [1,n]^k, tested one by one
     k = len(systems_rows[0][0])
-    found = []
-    for flat in product(range(1, n + 1), repeat=d * k):
-        rows = [flat[i * k : (i + 1) * k] for i in range(d)]
-        if all(
-            all(sum(a * x for a, x in zip(eq, rows[i])) == 0 for eq in systems_rows[i])
-            for i in range(d)
-        ):
-            found.append(tuple(rows))
-    return tuple(found)
+    per_coordinate = [
+        [
+            row
+            for row in product(range(1, n + 1), repeat=k)
+            if all(sum(a * x for a, x in zip(eq, row)) == 0 for eq in eqs)
+        ]
+        for eqs in systems_rows
+    ]
+    return tuple(product(*per_coordinate))
 
 
 def lex_index(point, n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -526,3 +527,31 @@ class TestUsage:
         assert first.output == second.output
         assert first.exit_code == second.exit_code
 
+
+
+# sha256 of every --help page at 80 columns; a change to any option, its
+# order, default or help text, or to a command's docstring, changes one
+HELP_PINS = {
+    (): "cb934b2dd8039cf0903b2962f1b32a912b52ff0cb906efa981d0d982e8806539",
+    ("mpc",): "8ccfee5dec604241410db7809d46b73072216df9e4ba828f8f768d0ab0b698fa",
+    ("check-columns",): "5d760b4c6682568b292de2f5a2831539b4f513504729019529cee179a8fe00ff",
+    ("enumerate",): "26a6b9862feebcf1feee650f5cdae2202800a1b83f7e29c1254c78df82e5a0dd",
+    ("count",): "6da7fe27eb20a13081160038db1cde91ed92351309da3f3f1f6d7b687123170c",
+    ("degenerate",): "54f1077c651d582259fabfac814e9620f5697b8f7a396c3a01ed5f9cd30ae28c",
+    ("search",): "7e7a5d0c10763b6993199b54f8d93dea82c1688d3035fc287bef9584867876ad",
+    ("rado-number",): "d07cf9a5d8abc5e46e927966e4f92c6cbd0c25e33973c7cbed0af40122a35780",
+    ("verify",): "bb8acb26ae1465826be7914ad82f200ffacb7a469f34fc7fcb5696dbf935f9bb",
+    ("export-dimacs",): "a8fd05f15b0b672d2aaab4639370ab5e20b9f7f5af89d7b2de63acaece96279b",
+    ("mpc", "gen"): "455e1bbac7a11df2f754a56784a025b7d563d71948d0bf993b59db849e798867",
+    ("mpc", "find-mono"): "78d8d9270199fd63c4899a484225143fa6a3e7cc986ca2253f4b75a210f707bf",
+    ("mpc", "embed"): "b38446af36572ef5050b714e5dbcf96a27d10144dbb80e123be93b12f8c8735f",
+    ("mpc", "contains"): "ac2dc3c3621c8762bf1fd9b5ec04d45f32feeab503ec1b6545dc00b655558ca9",
+    ("observe",): "a8185dca36068bcb8af8c576ca9b4714eb6fb5851d3b7c94c9eda0c31d2c187f",
+}
+
+
+@pytest.mark.parametrize("command", HELP_PINS, ids=lambda c: " ".join(("rado",) + c))
+def test_help_pinned(runner, command):
+    result = runner.invoke(main, [*command, "--help"], terminal_width=80)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == HELP_PINS[command]

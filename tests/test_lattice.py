@@ -35,6 +35,8 @@ PROGRESSION = ScalarSystem.from_rows([[-1, 1, 0, -1], [0, -1, 1, -1]])
 MOTIVATING = VectorSystem.from_rows([[[1, 1, -1, 0]], [[-1, 1, 0, -1], [0, -1, 1, -1]]])
 DIAG_SCHUR = VectorSystem.diagonal(SCHUR, 2)
 DIAG_SCHUR_3D = VectorSystem.diagonal(SCHUR, 3)
+# a dummy column tied to the masked ones: w = 2x, then w = 3x
+TIED_DUMMY = VectorSystem.from_rows([[[1, 1, -1, 0], [2, 0, 0, -1]], [[1, 1, -1, 0], [3, 0, 0, -1]]])
 
 
 class TestPointIndexing:
@@ -181,6 +183,12 @@ COUNT_CASES = (
         for mask in (None, (0, 1, 2), (0, 3), (1,))
     ]
     + [(DIAG_SCHUR_3D, n, None) for n in (3, 4)]
+    # d and k equal the flagship's, so these need ids of their own
+    + [
+        pytest.param((TIED_DUMMY, n, mask), id=f"tied-dummy-n{n}-mask{label}")
+        for n in (3, 6)
+        for mask, label in ((None, "full"), ((0, 1, 2), "012"))
+    ]
 )
 
 
@@ -266,6 +274,13 @@ class TestDegeneracy:
         report = is_degenerate([(1, 2), (2, 4), (3, 6)])
         assert report.degenerate
         assert report.direction == (1, 2)
+        assert report.multipliers == (1, 2, 3)
+
+    def test_multipliers_divide_by_the_primitive_direction(self):
+        # the direction's first coordinate is not 1, so a multiplier is the
+        # point's gcd, not its first coordinate
+        report = is_degenerate([(6, 9), (2, 3), (4, 6)])
+        assert report.direction == (2, 3)
         assert report.multipliers == (1, 2, 3)
 
     def test_non_parallel(self):

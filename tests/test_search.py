@@ -32,6 +32,10 @@ DIAG_SCHUR = VectorSystem.diagonal(SCHUR, 2)
 # primitive form without being equal, and the degenerate sets dominate many
 # others, so excluding them raises the constraint count (64 -> 464 at n = 8)
 MIDPOINT = VectorSystem.diagonal(ScalarSystem.from_rows([[1, 1, -2]]), 2)
+# the dummy column is tied to the masked ones (w = 2x, w = 3x), so it cannot
+# be scaled to match: degeneracy must come from the masked rows' primitive
+# form, not the full rows' (which builds 3 sets instead of 2 at n = 3)
+TIED_DUMMY = VectorSystem.from_rows([[[1, 1, -1, 0], [2, 0, 0, -1]], [[1, 1, -1, 0], [3, 0, 0, -1]]])
 AP4 = ScalarSystem.from_rows([[-1, 1, 0, 0, -1], [0, -1, 1, 0, -1], [0, 0, -1, 1, -1]])
 
 SCHUR_1D = SearchProblem(VectorSystem((SCHUR,)), colors=2)
@@ -119,6 +123,9 @@ BUILD_PROBLEMS = {
         VectorSystem.diagonal(SCHUR, 3), exclude_degenerate=True
     ),
     "midpoint-nondegenerate": SearchProblem(MIDPOINT, exclude_degenerate=True),
+    "tied-dummy-mask-0,1,2-nondegenerate": SearchProblem(
+        TIED_DUMMY, mask=(0, 1, 2), exclude_degenerate=True
+    ),
 }
 
 # largest n at which the brute-force oracle is compared, per problem
@@ -137,6 +144,7 @@ ORACLE_MAX_N = {
     "schur-nondegenerate": 12,
     "diagonal-schur-3d-nondegenerate": 4,
     "midpoint-nondegenerate": 8,
+    "tied-dummy-mask-0,1,2-nondegenerate": 6,
 }
 
 
