@@ -10,7 +10,7 @@ from .errors import (
     SystemFormatError,
     TooManyColumnsError,
 )
-from .exactmath import RMatrix, Rational, RrefResult, in_span, rank, rref
+from .exactmath import in_span, rank, rref
 from .systems import (
     ColumnsPartition,
     ColumnsReport,

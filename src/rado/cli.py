@@ -17,6 +17,7 @@ from typing import NoReturn
 
 import click
 
+from . import __version__
 from .construct import build_difference_families, check_difference_families
 from .errors import RadoError
 from .lattice import (
@@ -191,7 +192,7 @@ def problem_options(fn):
 
 
 @click.group()
-@click.version_option(package_name="rado-lattice")
+@click.version_option(version=__version__)
 def main():
     """Columns-condition checks, lattice enumeration and exact Rado numbers."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactmath import RMatrix, rank
+from .exactmath import rank
 from .lattice import Point
 
 
@@ -93,10 +93,10 @@ def check_difference_families(
 
     left_independent = None
     if d <= k - 1:
-        left_independent = rank(RMatrix.from_rows(families.left[:d])) == d
+        left_independent = rank(families.left[:d]) == d
     right_independent = None
     if d <= l - 1:
-        right_independent = rank(RMatrix.from_rows(families.right[:d])) == d
+        right_independent = rank(families.right[:d]) == d
 
     # single-coordinate points can collide between the prefixes, so the
     # disjointness check only applies for d >= 2

@@ -146,13 +146,13 @@ def enumerate_scalar_solutions(
     for f free columns and is refused beyond the budget.
     """
     k = system.variables
-    result = rref(system.matrix())
-    if result.rank < system.equations:
+    basis = rref(system.coeffs)
+    if len(basis) < system.equations:
         warnings.warn(
             "coefficient matrix has dependent rows; using a row basis",
             stacklevel=2,
         )
-    pivot_set = set(result.pivot_columns)
+    pivot_set = {p for p, _ in basis}
     free = [j for j in range(k) if j not in pivot_set]
     if n < 1:
         return []
@@ -162,8 +162,7 @@ def enumerate_scalar_solutions(
 
     # integer form of each pivot row: pivot value = -(sum a_j * x_j) / scale
     pivot_rows = []
-    for t, p in enumerate(result.pivot_columns):
-        row = result.rref.row(t)
+    for p, row in basis:
         coeffs = [row[j] for j in free]
         scale = 1
         for c in coeffs:

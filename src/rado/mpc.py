@@ -66,14 +66,6 @@ def _elements(spec: MpcSpec, gens: Sequence[int]) -> Iterator[tuple[int, tuple[i
             yield i, lambdas, value
 
 
-def validate_generators(spec: MpcSpec, gens: Sequence[int]) -> None:
-    """Raise InvalidGeneratorsError on the first combination with value <= 0."""
-    _check_generators(spec, gens)
-    for i, lambdas, value in _elements(spec, gens):
-        if value < 1:
-            raise InvalidGeneratorsError(i, lambdas, value)
-
-
 def generate_mpc(spec: MpcSpec, gens: Sequence[int]) -> tuple[int, ...]:
     """The full generated set, deduplicated and sorted ascending."""
     _check_generators(spec, gens)
@@ -83,6 +75,11 @@ def generate_mpc(spec: MpcSpec, gens: Sequence[int]) -> tuple[int, ...]:
             raise InvalidGeneratorsError(i, lambdas, value)
         values.add(value)
     return tuple(sorted(values))
+
+
+def validate_generators(spec: MpcSpec, gens: Sequence[int]) -> None:
+    """Raise InvalidGeneratorsError on the first combination with value <= 0."""
+    generate_mpc(spec, gens)
 
 
 def generate_mpc_vector(

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import MalformedPartitionError, SystemFormatError, TooManyColumnsError
-from .exactmath import RMatrix, in_span, rref
+from .exactmath import in_span, rank, reduce, rref
 
 DEFAULT_COLUMN_LIMIT = 12
 
@@ -59,9 +58,6 @@ class ScalarSystem:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.coeffs)
-
-    def matrix(self) -> RMatrix:
-        return RMatrix.from_rows(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -115,38 +111,6 @@ class ColumnsReport:
     full_rank: bool
 
 
-# --- incremental echelon basis, used by the memoized partition search -------
-#
-# A basis is a list of (pivot, row) pairs with strictly distinct pivots where
-# row[pivot] == 1 and row's leftmost nonzero entry sits at pivot.  Reducing a
-# vector against the rows in ascending pivot order zeroes each pivot position
-# without disturbing earlier ones, so membership in the span is "reduces to
-# the zero vector".
-
-
-def _reduce(vec: list[Fraction], basis: list[tuple[int, list[Fraction]]]) -> list[Fraction]:
-    v = list(vec)
-    for p, row in basis:
-        f = v[p]
-        if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def _insert(vec: Sequence[Fraction], basis: list[tuple[int, list[Fraction]]]) -> None:
-    v = _reduce(list(vec), basis)
-    pivot = next((i for i, x in enumerate(v) if x), None)
-    if pivot is None:
-        return
-    inv = v[pivot]
-    basis.append((pivot, [x / inv for x in v]))
-    basis.sort(key=lambda item: item[0])
-
-
-def _in_basis_span(vec: Sequence[Fraction], basis: list[tuple[int, list[Fraction]]]) -> bool:
-    return not any(_reduce(list(vec), basis))
-
-
 def check_columns_condition(
     system: ScalarSystem, limit: int = DEFAULT_COLUMN_LIMIT
 ) -> ColumnsReport:
@@ -164,35 +128,18 @@ def check_columns_condition(
     k = system.variables
     if k > limit:
         raise TooManyColumnsError(k, limit)
-    rk = rref(system.matrix()).rank
+    rk = rank(system.coeffs)
     full_rank = rk == system.equations
 
-    cols = [
-        tuple(Fraction(x) for x in system.column(j)) for j in range(k)
-    ]
+    cols = [system.column(j) for j in range(k)]
     full_mask = (1 << k) - 1
 
     # subset sums via lowest-set-bit dynamic programming
-    zero = (Fraction(0),) * system.equations
-    sums: list[tuple[Fraction, ...]] = [zero] * (1 << k)
+    sums: list[tuple[int, ...]] = [(0,) * system.equations] * (1 << k)
     for mask in range(1, 1 << k):
         low = (mask & -mask).bit_length() - 1
         rest = sums[mask & (mask - 1)]
         sums[mask] = tuple(a + b for a, b in zip(rest, cols[low]))
-
-    basis_cache: dict[int, list[tuple[int, list[Fraction]]]] = {}
-
-    def span_basis(mask: int) -> list[tuple[int, list[Fraction]]]:
-        cached = basis_cache.get(mask)
-        if cached is None:
-            cached = []
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                _insert(cols[j], cached)
-                m &= m - 1
-            basis_cache[mask] = cached
-        return cached
 
     memo: dict[int, tuple[int, ...] | None] = {}
 
@@ -203,28 +150,20 @@ def check_columns_condition(
         hit = memo.get(used, "miss")
         if hit != "miss":
             return hit
-        basis = span_basis(used)
+        # built once per state: the memo catches repeats, recursion only grows `used`
+        basis = rref(cols[j] for j in range(k) if used >> j & 1)
         remaining = full_mask & ~used
-        free = []
-        m = remaining
-        all_in_span = True
-        while m:
-            j = (m & -m).bit_length() - 1
-            free.append(j)
-            if all_in_span and not _in_basis_span(cols[j], basis):
-                all_in_span = False
-            m &= m - 1
-        if all_in_span:
-            result: tuple[int, ...] | None = tuple(1 << j for j in free)
-            memo[used] = result
-            return result
+        free = [j for j in range(k) if remaining >> j & 1]
+        if not any(any(reduce(cols[j], basis)) for j in free):
+            memo[used] = tuple(1 << j for j in free)
+            return memo[used]
         result = None
         sub = 0
         while True:
             sub = (sub - remaining) & remaining
             if sub == 0:
                 break
-            if _in_basis_span(sums[sub], basis):
+            if not any(reduce(sums[sub], basis)):
                 tail = complete(used | sub)
                 if tail is not None:
                     result = (sub,) + tail
@@ -282,10 +221,9 @@ def rank_profile(system: VectorSystem) -> list[tuple[int, tuple[int, ...]]]:
     """Per-coordinate (rank, free columns); free columns are the non-pivots."""
     profile = []
     for s in system.coordinate_systems:
-        result = rref(s.matrix())
-        pivots = set(result.pivot_columns)
+        pivots = {p for p, _ in rref(s.coeffs)}
         free = tuple(j for j in range(s.variables) if j not in pivots)
-        profile.append((result.rank, free))
+        profile.append((len(pivots), free))
     return profile
 
 

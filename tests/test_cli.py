@@ -5,6 +5,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
+import rado
 from rado.cli import main
 from rado.lattice import Coloring, parse_coloring, serialize_coloring
 from rado.search import SearchProblem, verify_witness
@@ -555,3 +556,9 @@ def test_help_pinned(runner, command):
     result = runner.invoke(main, [*command, "--help"], terminal_width=80)
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == HELP_PINS[command]
+
+
+def test_version_needs_no_installed_metadata(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert rado.__version__ in result.output

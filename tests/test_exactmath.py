@@ -5,51 +5,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rado.errors import DimensionMismatchError
-from rado.exactmath import RMatrix, Rational, in_span, rank, rref
+from rado.exactmath import in_span, rank, rref
 
-from oracles import det_rank
-
-
-def mat(rows):
-    return RMatrix.from_rows(rows)
+from oracles import det_rank, rank_in_span
 
 
 class TestRref:
     def test_identity(self):
-        result = rref(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        assert result.rank == 3
-        assert result.pivot_columns == (0, 1, 2)
+        result = rref([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert result == [(0, [1, 0, 0]), (1, [0, 1, 0]), (2, [0, 0, 1])]
 
     def test_single_row(self):
-        result = rref(mat([[1, 1, -1]]))
-        assert result.rank == 1
-        assert result.pivot_columns == (0,)
-        assert result.rref.row(0) == (1, 1, -1)
+        assert rref([[1, 1, -1]]) == [(0, [1, 1, -1])]
 
     def test_vandermonde_nodes_1_2_3(self):
         # determinant (2-1)(3-1)(3-2) = 2, so full rank
-        result = rref(mat([[1, 1, 1], [1, 2, 4], [1, 3, 9]]))
-        assert result.rank == 3
+        result = rref([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
+        assert result == [(0, [1, 0, 0]), (1, [0, 1, 0]), (2, [0, 0, 1])]
 
     def test_empty_matrix(self):
-        assert rref(RMatrix(0, 0, ())).rank == 0
+        assert rref([]) == []
 
     def test_rational_pivots(self):
-        result = rref(mat([[2, 4], [1, 3]]))
-        assert result.rank == 2
-        assert result.rref.row(0) == (1, 0)
-        assert result.rref.row(1) == (0, 1)
+        assert rref([[2, 4], [1, 3]]) == [(0, [1, 0]), (1, [0, 1])]
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            rref([[1, 2], [3]])
+        with pytest.raises(DimensionMismatchError):
+            rank([[0, 0], [1]])
+
+    def test_dependent_rows_dropped_and_fractions_kept(self):
+        assert rref([[2, 1, 0], [4, 2, 0], [0, 0, 3]]) == [
+            (0, [1, Fraction(1, 2), 0]),
+            (2, [0, 0, 1]),
+        ]
 
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(mat([[0, 0], [0, 0]])) == 0
+        assert rank([[0, 0], [0, 0]]) == 0
 
     def test_single_row(self):
-        assert rank(mat([[1, 1, -1, 0]])) == 1
+        assert rank([[1, 1, -1, 0]]) == 1
 
     def test_progression_matrix(self):
-        assert rank(mat([[-1, 1, 0, -1], [0, -1, 1, -1]])) == 2
+        assert rank([[-1, 1, 0, -1], [0, -1, 1, -1]]) == 2
 
 
 class TestInSpan:
@@ -90,30 +91,40 @@ def small_matrices(draw, max_rows=4, max_cols=4):
 @settings(deadline=None, max_examples=80)
 @given(small_matrices())
 def test_rref_idempotent(rows):
-    first = rref(mat(rows))
-    second = rref(first.rref)
-    assert second.rref == first.rref
-    assert second.pivot_columns == first.pivot_columns
+    first = rref(rows)
+    assert rref(row for _, row in first) == first
+
+
+@settings(deadline=None, max_examples=80)
+@given(small_matrices())
+def test_rref_is_reduced_and_spans_the_rows(rows):
+    result = rref(rows)
+    pivots = [p for p, _ in result]
+    assert pivots == sorted(set(pivots))
+    for p, row in result:
+        assert [row[q] for q in pivots] == [int(q == p) for q in pivots]
+    reduced = [row for _, row in result]
+    assert len(result) == det_rank(rows) == det_rank(rows + reduced)
 
 
 @settings(deadline=None, max_examples=60)
 @given(small_matrices(), st.randoms(use_true_random=False))
 def test_rank_invariant_under_row_permutation_and_scaling(rows, rng):
-    base = rank(mat(rows))
+    base = rank(rows)
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    assert rank(mat(shuffled)) == base
+    assert rank(shuffled) == base
     i = rng.randrange(len(rows))
     factor = Fraction(rng.choice([1, 2, 3, -1, -5]), rng.choice([1, 2, 7]))
     scaled = [list(r) for r in rows]
     scaled[i] = [factor * x for x in scaled[i]]
-    assert rank(mat(scaled)) == base
+    assert rank(scaled) == base
 
 
 @settings(deadline=None, max_examples=60)
 @given(small_matrices(max_rows=3, max_cols=3))
 def test_rank_matches_determinant_oracle(rows):
-    assert rank(mat(rows)) == det_rank(rows)
+    assert rank(rows) == det_rank(rows)
 
 
 @settings(deadline=None, max_examples=60)
@@ -122,10 +133,7 @@ def test_rank_matches_determinant_oracle(rows):
     st.lists(small_entries, min_size=3, max_size=3),
 )
 def test_in_span_agrees_with_rank_comparison(basis, v):
-    expected = (
-        rank(mat(basis + [v])) == rank(mat(basis)) if basis else all(x == 0 for x in v)
-    )
-    assert in_span(v, basis) == expected
+    assert in_span(v, basis) == rank_in_span(v, basis)
 
 
 @settings(deadline=None, max_examples=100)
@@ -134,16 +142,10 @@ def test_in_span_agrees_with_rank_comparison(basis, v):
 )
 def test_rational_arithmetic_is_exact(a, b, c, d):
     # cross-multiplication identities hold with zero error
-    x = Rational(a, b)
-    y = Rational(c, d)
+    x = Fraction(a, b)
+    y = Fraction(c, d)
     s = x + y
     assert s.numerator * (b * d) == (a * d + c * b) * s.denominator
     p = x * y
     assert p.numerator * (b * d) == (a * c) * p.denominator
 
-
-def test_rmatrix_validation():
-    with pytest.raises(ValueError):
-        RMatrix(2, 2, (Rational(1),) * 3)
-    with pytest.raises(ValueError):
-        RMatrix.from_rows([[1, 2], [3]])
