@@ -260,6 +260,7 @@ solve(PyObject *module, PyObject *args, PyObject *kwargs)
     PyObject *constraints, *order, *assignment, *result = NULL;
     Engine e = {0};
 
+    (void)module;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO:solve", kwlist,
                                      &num_points, &colors, &constraints,
                                      &order))

@@ -1,9 +1,11 @@
 """Small DPLL satisfiability check plus a DIMACS reader.
 
-This exists as an independent cross-check for exported CNF instances: it
-shares no code with the search kernels and works directly on clause lists.
-Unit propagation uses per-clause counters of unassigned and satisfied
-literal occurrences; branching follows a static most-occurrences order with
+An independent cross-check for exported CNF instances: it shares no code
+with the search kernels and works directly on clause lists.  When a literal
+becomes false, each clause that contains it counts its literals that are not
+false, stopping at two: a true one means satisfied, none a conflict and one
+unassigned a unit to propagate.  Clauses keep no state, so backtracking only
+unassigns the trail.  Branching follows a static most-occurrences order with
 True tried before False, so results are deterministic.
 """
 
@@ -58,102 +60,66 @@ def solve_cnf(num_vars: int, clauses: Sequence[Sequence[int]]) -> list[bool] | N
             if l == 0 or abs(l) > num_vars:
                 raise ValueError(f"literal {l} out of range for {num_vars} variables")
         cls.append(lits)
-    nc = len(cls)
-    val: list[bool | None] = [None] * (num_vars + 1)
-    if nc == 0:
-        return [False] * (num_vars + 1)
 
-    occ_true: list[list[int]] = [[] for _ in range(num_vars + 1)]
-    occ_false: list[list[int]] = [[] for _ in range(num_vars + 1)]
+    # indexed by literal: -v wraps round to position 2 * num_vars + 1 - v
+    occ: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
     for ci, lits in enumerate(cls):
         for l in lits:
-            (occ_true if l > 0 else occ_false)[abs(l)].append(ci)
-
-    n_un = [len(lits) for lits in cls]
-    n_true = [0] * nc
-    sat_total = 0
+            occ[l].append(ci)
+    value: list[bool | None] = [None] * (2 * num_vars + 1)
     trail: list[int] = []
 
-    def assign(v0: int, b0: bool) -> bool:
-        nonlocal sat_total
-        queue = [(v0, b0)]
-        while queue:
-            v, b = queue.pop()
-            if val[v] is not None:
-                if val[v] != b:
-                    return False
-                continue
-            val[v] = b
-            trail.append(v)
-            sat_occ = occ_true[v] if b else occ_false[v]
-            unsat_occ = occ_false[v] if b else occ_true[v]
-            for ci in sat_occ:
-                if n_true[ci] == 0:
-                    sat_total += 1
-                n_true[ci] += 1
-                n_un[ci] -= 1
-            # complete the counter updates even after a conflict so that
-            # undo(), which walks full occurrence lists, stays symmetric
-            conflict = False
-            for ci in unsat_occ:
-                n_un[ci] -= 1
-                if not conflict and n_true[ci] == 0:
-                    if n_un[ci] == 0:
-                        conflict = True
-                    elif n_un[ci] == 1:
-                        for l in cls[ci]:
-                            if val[abs(l)] is None:
-                                queue.append((abs(l), l > 0))
-                                break
-            if conflict:
-                return False
+    def assign(lit: int) -> bool:
+        """Make lit true and propagate units along the trail; False on a conflict."""
+        head = len(trail)
+        value[lit], value[-lit] = True, False
+        trail.append(lit)
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            for ci in occ[-lit]:
+                unit = 0
+                for l in cls[ci]:
+                    x = value[l]
+                    if x is None:
+                        if unit:
+                            break
+                        unit = l
+                    elif x:
+                        break
+                else:
+                    if not unit:
+                        return False
+                    value[unit], value[-unit] = True, False
+                    trail.append(unit)
         return True
 
     def undo(mark: int) -> None:
-        nonlocal sat_total
         while len(trail) > mark:
-            v = trail.pop()
-            b = val[v]
-            sat_occ = occ_true[v] if b else occ_false[v]
-            unsat_occ = occ_false[v] if b else occ_true[v]
-            for ci in sat_occ:
-                n_true[ci] -= 1
-                if n_true[ci] == 0:
-                    sat_total -= 1
-                n_un[ci] += 1
-            for ci in unsat_occ:
-                n_un[ci] += 1
-            val[v] = None
+            lit = trail.pop()
+            value[lit] = value[-lit] = None
 
     order = sorted(
-        (v for v in range(1, num_vars + 1) if occ_true[v] or occ_false[v]),
-        key=lambda v: (-(len(occ_true[v]) + len(occ_false[v])), v),
+        (v for v in range(1, num_vars + 1) if occ[v] or occ[-v]),
+        key=lambda v: (-(len(occ[v]) + len(occ[-v])), v),
     )
-    olen = len(order)
 
     def dfs(idx: int) -> bool:
-        if sat_total == nc:
-            return True
-        while idx < olen and val[order[idx]] is not None:
+        while idx < len(order) and value[order[idx]] is not None:
             idx += 1
-        if idx == olen:
+        if idx == len(order):
             return True
         v = order[idx]
-        for b in (True, False):
-            mark = len(trail)
-            if assign(v, b) and dfs(idx + 1):
+        mark = len(trail)
+        for lit in (v, -v):
+            if assign(lit) and dfs(idx + 1):
                 return True
             undo(mark)
         return False
 
-    depth_needed = num_vars * 2 + 100
     old_limit = sys.getrecursionlimit()
-    if old_limit < depth_needed:
-        sys.setrecursionlimit(depth_needed)
+    sys.setrecursionlimit(max(old_limit, num_vars * 2 + 100))
     try:
-        if dfs(0):
-            return [bool(v) for v in val]
-        return None
+        return [value[v] is True for v in range(num_vars + 1)] if dfs(0) else None
     finally:
-        if old_limit < depth_needed:
-            sys.setrecursionlimit(old_limit)
+        sys.setrecursionlimit(old_limit)

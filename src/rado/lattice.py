@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -82,11 +82,14 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.r < 1:
+        n, d, size = self.n, self.d, len(self.colors)
+        if n < 1 or d < 1 or self.r < 1:
             raise ValueError("n, d and r must all be positive")
-        if len(self.colors) != self.n**self.d:
+        # n**d >= 2**(d * (bit_length(n) - 1)): a box that large cannot
+        # have `size` points, and a power still built is below 4 * size**2
+        if d * (n.bit_length() - 1) >= size.bit_length() or n**d != size:
             raise ValueError(
-                f"expected {self.n**self.d} color entries, got {len(self.colors)}"
+                f"expected n**d color entries for n={n}, d={d}; got {size}"
             )
         for c in self.colors:
             if not 0 <= c < self.r:
@@ -112,6 +115,16 @@ def _primitive(point: Point) -> Point:
     for c in point:
         g = gcd(g, c)
     return tuple(c // g for c in point)
+
+
+def _rows_by_form(
+    rows: list[tuple[int, ...]], mask: tuple[int, ...]
+) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The rows of one coordinate list, grouped by their masked primitive form."""
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    for row in rows:
+        groups[_primitive(tuple(row[j] for j in mask))].append(row)
+    return groups
 
 
 def is_degenerate(points: Iterable[Point]) -> DegeneracyReport:
@@ -213,14 +226,6 @@ def _check_product_budget(lists: list[list[tuple[int, ...]]], budget: int) -> No
         raise BudgetExceededError(total, budget)
 
 
-def _budgeted_product(
-    lists: list[list[tuple[int, ...]]], budget: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Lazy product of per-coordinate solution lists, refused beyond the budget."""
-    _check_product_budget(lists, budget)
-    return product(*lists)
-
-
 def _index_contributions(
     lists: list[list[tuple[int, ...]]], mask: tuple[int, ...], n: int
 ) -> list[list[tuple[int, ...]]]:
@@ -265,7 +270,8 @@ def enumerate_vector_solutions(
     Order is deterministic: lexicographic in the tuple of coordinate rows.
     """
     lists = _coordinate_solutions(system, n, budget)
-    for rows in _budgeted_product(lists, budget):
+    _check_product_budget(lists, budget)
+    for rows in product(*lists):
         yield SolutionTuple(tuple(zip(*rows)))
 
 
@@ -296,19 +302,18 @@ def count_degenerate(
 
     A tuple is degenerate exactly when its coordinate rows, restricted to the
     mask, all have the same primitive form (see the module docstring).  Each
-    coordinate list is tallied by that form, and the count is the sum over
-    forms of the product of the lists' tallies: linear in the list lengths,
+    coordinate list is grouped by that form (``_rows_by_form``, which the
+    build's degeneracy filter shares), and the count is the sum over forms of
+    the product of the lists' group sizes: linear in the list lengths,
     without walking the tuple product (whose size the budget still bounds).
     In one dimension every tuple counts.
     """
     mask = _resolve_mask(mask, system.k)
     lists = _coordinate_solutions(system, n, budget)
     _check_product_budget(lists, budget)
-    first, *rest = (
-        Counter(_primitive(tuple(row[j] for j in mask)) for row in rows)
-        for rows in lists
-    )
-    return sum(c * prod(t[form] for t in rest) for form, c in first.items())
+    grouped = [_rows_by_form(rows, mask) for rows in lists]
+    forms = set(grouped[0]).intersection(*grouped[1:])
+    return sum(prod(len(g[form]) for g in grouped) for form in forms)
 
 
 def count_monochromatic(
@@ -367,7 +372,7 @@ def count_monochromatic(
 def parse_coloring(text: str) -> Coloring:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to read
         raise SystemFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise SystemFormatError("coloring document must be a JSON object")
@@ -375,19 +380,15 @@ def parse_coloring(text: str) -> Coloring:
         if key not in doc:
             raise SystemFormatError(f"missing key {key!r}")
     n, d, r, colors = doc["n"], doc["d"], doc["r"], doc["colors"]
-    for name, value in (("n", n), ("d", d), ("r", r)):
-        if not isinstance(value, int) or value < 1:
-            raise SystemFormatError(f"{name} must be a positive integer")
     if not isinstance(colors, list):
         raise SystemFormatError("'colors' must be a list")
-    if len(colors) != n**d:
-        raise SystemFormatError(
-            f"expected {n**d} color entries for n={n}, d={d}; got {len(colors)}"
-        )
-    for c in colors:
-        if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < r:
-            raise SystemFormatError(f"color {c!r} out of range 0..{r - 1}")
-    return Coloring(n, d, r, tuple(colors))
+    for name, value in (("n", n), ("d", d), ("r", r), *(("color", c) for c in colors)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SystemFormatError(f"{name} {value!r} is not an integer")
+    try:
+        return Coloring(n, d, r, tuple(colors))
+    except ValueError as e:
+        raise SystemFormatError(str(e)) from e
 
 
 def serialize_coloring(coloring: Coloring) -> str:

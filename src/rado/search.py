@@ -31,7 +31,7 @@ turns kernel results into certified outcomes.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import add
@@ -47,8 +47,8 @@ from .lattice import (
     _check_product_budget,
     _coordinate_solutions,
     _index_contributions,
-    _primitive,
     _resolve_mask,
+    _rows_by_form,
     index_point,
 )
 from .systems import VectorSystem
@@ -175,16 +175,6 @@ def _index_sets(
     for base in _base_sums(outer, len(mask)):
         sets.update(frozenset(map(add, base, row)) for row in last)
     return sets
-
-
-def _rows_by_form(
-    rows: list[tuple[int, ...]], mask: tuple[int, ...]
-) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The rows of one coordinate list, grouped by their masked primitive form."""
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
-    for row in rows:
-        groups[_primitive(tuple(row[j] for j in mask))].append(row)
-    return groups
 
 
 def _branch_order(cs: ConstraintSet) -> list[int]:

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -39,16 +40,23 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_cnf(1, [[2]])
 
+    def test_deep_formula_raises_the_recursion_limit(self):
+        clauses = [[2 * i + 1, 2 * i + 2] for i in range(1500)]
+        limit = sys.getrecursionlimit()
+        model = solve_cnf(3000, clauses)
+        assert model is not None
+        assert all(model[a] or model[b] for a, b in clauses)
+        assert sys.getrecursionlimit() == limit
+
     def test_matches_brute_force(self):
         rng = random.Random(99)
         for _ in range(400):
-            num_vars = rng.randint(1, 7)
+            num_vars = rng.randint(1, 10)
+            # literals drawn with replacement, so clauses repeat literals and
+            # hold complementary pairs; one clause in five is a unit
             clauses = [
-                [
-                    rng.choice([-1, 1]) * v
-                    for v in rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
-                ]
-                for _ in range(rng.randint(1, 12))
+                [rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(rng.randint(1, 5))]
+                for _ in range(rng.randint(1, 14))
             ]
             expected = brute_force_sat(num_vars, clauses)
             model = solve_cnf(num_vars, clauses)

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -344,6 +346,27 @@ class TestColoringFiles:
     def test_color_range_validation(self):
         with pytest.raises(SystemFormatError):
             parse_coloring('{"n": 2, "d": 1, "r": 2, "colors": [0, 2]}')
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [(10**5, 10**5), (10**6, 10**6), (10**7, 10**7), (3, 10**9), (2, 64), (10**300, 2)],
+    )
+    def test_huge_declared_box_refused_at_once(self, n, d):
+        start = time.perf_counter()
+        with pytest.raises(SystemFormatError):
+            parse_coloring(f'{{"n": {n}, "d": {d}, "r": 2, "colors": [0]}}')
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("key", ["n", "d", "r"])
+    def test_boolean_box_size_refused(self, key):
+        doc = {"n": 1, "d": 1, "r": 1, "colors": [0]}
+        doc[key] = True
+        with pytest.raises(SystemFormatError):
+            parse_coloring(json.dumps(doc))
+
+    def test_integer_too_long_to_read(self):
+        with pytest.raises(SystemFormatError):
+            parse_coloring('{"n": 1' + "0" * 5000 + ', "d": 1, "r": 2, "colors": [0]}')
 
 
 class TestGrowthLaw:
