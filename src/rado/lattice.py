@@ -2,11 +2,15 @@
 
 Points are d-tuples of positive integers; a solution tuple is an ordered list
 of k points whose i-th coordinate row satisfies the i-th scalar system
-exactly.  Enumeration works per coordinate by iterating the free columns of
-the reduced echelon form and solving the pivot columns exactly, then takes
-the Cartesian product across coordinates.  Every enumeration is guarded by a
-candidate budget so oversized requests fail fast instead of running for
-hours.
+exactly.  Enumeration works per coordinate and yields masked rows: the
+distinct restrictions of the coordinate's solution rows to the mask, each
+weighted by the number of full rows that restrict to it
+(``_masked_solutions``).  Unmasked dummy columns are thus counted, not
+listed.  The full mask gives the solution rows themselves, and the empty
+mask only their number.  Solution tuples are the Cartesian product of the
+coordinate lists, which the build and the counts read without walking it.
+Every enumeration is guarded by a candidate budget so oversized requests
+fail fast instead of running for hours.
 
 Degeneracy: a point set is degenerate when all its points have the same
 primitive form (point divided by the gcd of its coordinates), i.e. lie on
@@ -35,6 +39,8 @@ from .systems import ScalarSystem, VectorSystem
 DEFAULT_BUDGET = 10**8
 
 Point = tuple[int, ...]
+# distinct (masked) coordinate rows, each with its number of full solutions
+Rows = dict[tuple[int, ...], int]
 
 
 def point_index(point: Point, n: int) -> int:
@@ -117,13 +123,11 @@ def _primitive(point: Point) -> Point:
     return tuple(c // g for c in point)
 
 
-def _rows_by_form(
-    rows: list[tuple[int, ...]], mask: tuple[int, ...]
-) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The rows of one coordinate list, grouped by their masked primitive form."""
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
-    for row in rows:
-        groups[_primitive(tuple(row[j] for j in mask))].append(row)
+def _rows_by_form(rows: Rows) -> dict[tuple[int, ...], Rows]:
+    """The masked rows of one coordinate list, grouped by their primitive form."""
+    groups: dict[tuple[int, ...], Rows] = defaultdict(dict)
+    for row, w in rows.items():
+        groups[_primitive(row)][row] = w
     return groups
 
 
@@ -148,116 +152,155 @@ def is_degenerate(points: Iterable[Point]) -> DegeneracyReport:
     return DegeneracyReport(True, forms.pop(), tuple(gcd(*p) for p in pts))
 
 
-def enumerate_scalar_solutions(
-    system: ScalarSystem, n: int, budget: int = DEFAULT_BUDGET
-) -> list[tuple[int, ...]]:
-    """All integer k-tuples in [1,n]^k with A.x = 0, sorted lexicographically.
+def _masked_solutions(
+    system: ScalarSystem, n: int, mask: tuple[int, ...], budget: int
+) -> Rows:
+    """The distinct masked rows of the solutions in [1,n]^k, each mapped to
+    its number of full solutions.
 
-    Iterates assignments of the free columns of the echelon form and solves
-    each pivot column exactly; candidates with a fractional, out-of-range or
-    non-positive pivot value are dropped.  The candidate grid has n**f cells
-    for f free columns and is refused beyond the budget.
+    Iterates assignments of the free columns of the echelon form but the last
+    one, t, and solves each pivot column exactly.  Every pivot is then an
+    affine function of t, so the values of t that keep all pivots in [1,n]
+    form one interval; inside it only pivots with a fractional coefficient of
+    t still test divisibility.  When t is unmasked and every pivot that moves
+    with it is unmasked and integral in t, the interval's rows share one
+    masked row and are counted instead of listed.  The candidate grid has
+    n**f cells for f free columns and is refused beyond the budget.
     """
     k = system.variables
     basis = rref(system.coeffs)
     if len(basis) < system.equations:
         warnings.warn(
             "coefficient matrix has dependent rows; using a row basis",
-            stacklevel=2,
+            stacklevel=3,
         )
     pivot_set = {p for p, _ in basis}
     free = [j for j in range(k) if j not in pivot_set]
     if n < 1:
-        return []
+        return {}
     candidates = n ** len(free)
     if candidates > budget:
         raise BudgetExceededError(candidates, budget)
+    if not free:
+        return {}  # full column rank: only x = 0 solves
+    *outer, last = free
 
-    # integer form of each pivot row: pivot value = -(sum a_j * x_j) / scale
+    # integer form of each pivot row: pivot value = -(s + a * t) / scale,
+    # with s the sum of ints times the outer free values
     pivot_rows = []
     for p, row in basis:
-        coeffs = [row[j] for j in free]
-        scale = 1
-        for c in coeffs:
-            scale = lcm(scale, c.denominator)
-        ints = tuple(int(c * scale) for c in coeffs)
-        pivot_rows.append((p, scale, ints))
+        scale = lcm(*(row[j].denominator for j in free))
+        ints = tuple(int(row[j] * scale) for j in outer)
+        pivot_rows.append((p, scale, ints, int(row[last] * scale)))
+    counted = last not in mask and all(
+        not a or (p not in mask and scale == 1) for p, scale, _, a in pivot_rows
+    )
 
-    out = []
-    for assignment in product(range(1, n + 1), repeat=len(free)):
-        vec = [0] * k
-        ok = True
-        for p, scale, ints in pivot_rows:
+    out: Rows = defaultdict(int)
+    vec = [0] * k
+    for assignment in product(range(1, n + 1), repeat=len(outer)):
+        lo, hi = 1, n
+        moving = []
+        for p, scale, ints, a in pivot_rows:
             s = 0
-            for a, x in zip(ints, assignment):
-                s += a * x
-            val, rem = divmod(-s, scale)
-            if rem or val < 1 or val > n:
-                ok = False
-                break
-            vec[p] = val
-        if ok:
-            for j, x in zip(free, assignment):
-                vec[j] = x
-            out.append(tuple(vec))
-    out.sort()
+            for b, x in zip(ints, assignment):
+                s += b * x
+            if not a:
+                val, rem = divmod(-s, scale)
+                if rem or val < 1 or val > n:
+                    hi = 0  # no value of t helps
+                    break
+                vec[p] = val
+                continue
+            # scale <= -(s + a * t) <= n * scale, solved for t
+            low, high = -n * scale - s, -scale - s
+            if a < 0:
+                low, high = high, low
+            lo = max(lo, -(-low // a))
+            hi = min(hi, high // a)
+            moving.append((p, scale, s, a))
+        if lo > hi:
+            continue
+        for j, x in zip(outer, assignment):
+            vec[j] = x
+        if counted:
+            out[tuple(vec[j] for j in mask)] += hi - lo + 1
+            continue
+        for t in range(lo, hi + 1):
+            for p, scale, s, a in moving:
+                val, rem = divmod(-s - a * t, scale)
+                if rem:
+                    break
+                vec[p] = val
+            else:
+                vec[last] = t
+                out[tuple(vec[j] for j in mask)] += 1
     return out
 
 
+def enumerate_scalar_solutions(
+    system: ScalarSystem, n: int, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """All integer k-tuples in [1,n]^k with A.x = 0, sorted lexicographically.
+
+    These are the masked rows of the full mask (``_masked_solutions``), with
+    its budget refusal.
+    """
+    full = tuple(range(system.variables))
+    return sorted(_masked_solutions(system, n, full, budget))
+
+
 def _coordinate_solutions(
-    system: VectorSystem, n: int, budget: int
-) -> list[list[tuple[int, ...]]]:
-    """Per-coordinate solution lists, computing identical matrices once."""
-    cache: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
+    system: VectorSystem, n: int, mask: tuple[int, ...], budget: int
+) -> list[Rows]:
+    """Per-coordinate weighted masked rows, computing identical matrices once."""
+    cache: dict[tuple[tuple[int, ...], ...], Rows] = {}
     lists = []
     for s in system.coordinate_systems:
         hit = cache.get(s.coeffs)
         if hit is None:
-            hit = enumerate_scalar_solutions(s, n, budget)
+            hit = _masked_solutions(s, n, mask, budget)
             cache[s.coeffs] = hit
         lists.append(hit)
     return lists
 
 
-def _check_product_budget(lists: list[list[tuple[int, ...]]], budget: int) -> None:
+def _check_product_budget(lists: list[Rows], budget: int) -> None:
     """Refuse a tuple product of the per-coordinate lists beyond the budget."""
-    total = prod(len(rows) for rows in lists)
+    total = prod(sum(rows.values()) for rows in lists)
     if total > budget:
         raise BudgetExceededError(total, budget)
 
 
-def _index_contributions(
-    lists: list[list[tuple[int, ...]]], mask: tuple[int, ...], n: int
-) -> list[list[tuple[int, ...]]]:
-    """Each coordinate row's contributions to the masked points' indices.
+def _index_contributions(lists: list[Rows], n: int) -> list[Rows]:
+    """Each masked coordinate row's contributions to the masked points' indices.
 
     The index of a point is the sum over coordinates i of
     (coord_i - 1) * n**(d-1-i), so the masked points' indices of a tuple are
-    the position-wise sums of its rows' contributions.
+    the position-wise sums of its rows' contributions.  A row's weight is
+    kept with its contributions.
     """
     d = len(lists)
     out = []
     for i, rows in enumerate(lists):
         place = n ** (d - 1 - i)
-        out.append([tuple((row[j] - 1) * place for j in mask) for row in rows])
+        out.append({tuple((x - 1) * place for x in row): w for row, w in rows.items()})
     return out
 
 
-def _base_sums(
-    outer: list[list[tuple[int, ...]]], width: int
-) -> Counter[tuple[int, ...]]:
+def _base_sums(outer: list[Rows], width: int) -> Counter[tuple[int, ...]]:
     """Position-wise sums of one contribution row from each outer list.
 
     The lists are folded in one at a time and equal partial sums merged, so
-    each distinct base appears once, weighted by the number of row
+    each distinct base appears once, weighted by the number of full row
     combinations that give it.  With no outer list the one base is zero.
     """
     bases = Counter({(0,) * width: 1})
     for rows in outer:
         step: Counter[tuple[int, ...]] = Counter()
         for base, weight in bases.items():
-            for row in rows:
-                step[tuple(map(add, base, row))] += weight
+            for row, w in rows.items():
+                step[tuple(map(add, base, row))] += weight * w
         bases = step
     return bases
 
@@ -269,16 +312,20 @@ def enumerate_vector_solutions(
 
     Order is deterministic: lexicographic in the tuple of coordinate rows.
     """
-    lists = _coordinate_solutions(system, n, budget)
+    lists = _coordinate_solutions(system, n, tuple(range(system.k)), budget)
     _check_product_budget(lists, budget)
-    for rows in product(*lists):
+    for rows in product(*map(sorted, lists)):
         yield SolutionTuple(tuple(zip(*rows)))
 
 
 def count_solutions(system: VectorSystem, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """|enumerate_vector_solutions| without materializing the product."""
-    lists = _coordinate_solutions(system, n, budget)
-    return prod(len(rows) for rows in lists)
+    """|enumerate_vector_solutions| without materializing the product.
+
+    With the empty mask every coordinate's solutions share one masked row,
+    whose weight is their number.
+    """
+    lists = _coordinate_solutions(system, n, (), budget)
+    return prod(sum(rows.values()) for rows in lists)
 
 
 def _resolve_mask(mask: Iterable[int] | None, k: int) -> tuple[int, ...]:
@@ -309,11 +356,11 @@ def count_degenerate(
     In one dimension every tuple counts.
     """
     mask = _resolve_mask(mask, system.k)
-    lists = _coordinate_solutions(system, n, budget)
+    lists = _coordinate_solutions(system, n, mask, budget)
     _check_product_budget(lists, budget)
-    grouped = [_rows_by_form(rows, mask) for rows in lists]
+    grouped = [_rows_by_form(rows) for rows in lists]
     forms = set(grouped[0]).intersection(*grouped[1:])
-    return sum(prod(len(g[form]) for g in grouped) for form in forms)
+    return sum(prod(sum(g[form].values()) for g in grouped) for form in forms)
 
 
 def count_monochromatic(
@@ -326,11 +373,13 @@ def count_monochromatic(
 
     The contributions of all coordinate lists but the last are summed into
     one base index per masked point (``_base_sums``; tuples with the same
-    bases are counted together).  For a masked position and base, one bitset
-    per color marks the rows of the last list that complete that point to
-    the color; the tuples of a base monochromatic in a color are then the
-    bits of the AND of its positions' bitsets.  The tuple product, which the
-    budget still bounds, is never walked.
+    bases are counted together).  The masked rows of the last list are split
+    into classes by weight.  For a masked position, base and class, one
+    bitset per color marks the class's rows that complete that point to the
+    color; the tuples of a base monochromatic in a color are then the bits
+    of the AND of its positions' bitsets, each bit counting the class's
+    weight.  The tuple product, which the budget still bounds, is never
+    walked.
     """
     if coloring.d != system.d:
         raise DimensionMismatchError(
@@ -338,28 +387,35 @@ def count_monochromatic(
         )
     mask = _resolve_mask(mask, system.k)
     n = coloring.n
-    lists = _coordinate_solutions(system, n, budget)
+    lists = _coordinate_solutions(system, n, mask, budget)
     _check_product_budget(lists, budget)
-    *outer, last = _index_contributions(lists, mask, n)
+    *outer, last = _index_contributions(lists, n)
+    classes: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for parts, w in last.items():
+        classes[w].append(parts)
     colors = coloring.colors
     palette = range(coloring.r)
 
     @cache
-    def column(pos: int, base: int) -> list[int]:
-        row_colors = [colors[base + parts[pos]] for parts in last]
-        return [
-            int("0" + "".join("1" if x == c else "0" for x in row_colors), 2)
-            for c in palette
-        ]
+    def column(pos: int, base: int) -> list[list[int]]:
+        out = []
+        for rows in classes.values():
+            row_colors = [colors[base + parts[pos]] for parts in rows]
+            out.append([
+                int("0" + "".join("1" if x == c else "0" for x in row_colors), 2)
+                for c in palette
+            ])
+        return out
 
     counts = [0] * coloring.r
     for base, weight in _base_sums(outer, len(mask)).items():
         first, *rest = (column(pos, b) for pos, b in enumerate(base))
-        for c in palette:
-            both = first[c]
-            for bits in rest:
-                both &= bits[c]
-            counts[c] += weight * both.bit_count()
+        for i, w in enumerate(classes):
+            for c in palette:
+                both = first[i][c]
+                for bits in rest:
+                    both &= bits[i][c]
+                counts[c] += weight * w * both.bit_count()
     return counts
 
 

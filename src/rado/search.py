@@ -3,20 +3,20 @@
 A search problem fixes a vector system, a color count, the mask of solution
 points that must share a color, and optional tuple filters (exclude
 degenerate masked sets, require the masked points pairwise distinct).
-Constraints are built by enumerating full solution tuples and projecting each
-surviving tuple to its masked point set (so a constraint exists as soon as
-SOME assignment of the unmasked dummy variables completes it).  Projection
-works on point indices directly: every per-coordinate solution row is turned
-once into its contributions to the masked points' lexicographic indices
-(``lattice._index_contributions``), and a tuple's index set is the sum of
-its rows' contributions; rows with equal contributions (they differ only in
-unmasked columns) are merged first.  The contributions of all coordinate
-lists but the last are summed once into distinct base sums
-(``lattice._base_sums``, shared with ``count_monochromatic``), and each set is
-a base plus one row of the last list.  A tuple is degenerate exactly when its
-masked coordinate rows share one primitive form (see ``lattice``), and
-degeneracy is a property of the set, so the degeneracy filter builds the sets
-of the same-form products, form by form, and subtracts them; no set is
+Constraints are the masked point sets of the solution tuples (so a
+constraint exists as soon as SOME assignment of the unmasked dummy variables
+completes it).  Each coordinate's solutions arrive as distinct masked rows
+(``lattice._masked_solutions``), so rows that differ only in unmasked columns
+are already one.  Projection works on point indices directly: every masked
+row is turned once into its contributions to the masked points'
+lexicographic indices (``lattice._index_contributions``), and a tuple's
+index set is the sum of its rows' contributions.  The contributions of all
+coordinate lists but the last are summed once into distinct base sums
+(``lattice._base_sums``, shared with ``count_monochromatic``), and each set
+is a base plus one row of the last list.  A tuple is degenerate exactly
+when its masked coordinate rows share one primitive form (see ``lattice``),
+and degeneracy is a property of the set, so the degeneracy filter builds the
+sets of the same-form products, form by form, and subtracts them; no set is
 decoded into points.  A set that contains another set is dropped, because a
 coloring that splits the smaller set also splits the larger one; a set is
 found dominated by looking up each of its subsets, of every smaller size that
@@ -43,6 +43,7 @@ from .lattice import (
     DEFAULT_BUDGET,
     Coloring,
     Point,
+    Rows,
     _base_sums,
     _check_product_budget,
     _coordinate_solutions,
@@ -128,18 +129,18 @@ def build_constraints(
     mask = problem.mask
     if n < 1:
         return ConstraintSet(n, d, ())
-    lists = _coordinate_solutions(system, n, budget)
+    lists = _coordinate_solutions(system, n, mask, budget)
     _check_product_budget(lists, budget)
-    seen = _index_sets(lists, mask, n)
+    seen = _index_sets(lists, len(mask), n)
     if problem.require_distinct:
         seen = {s for s in seen if len(s) == len(mask)}
     if problem.exclude_degenerate:
         # a tuple is degenerate exactly when its masked rows share one
         # primitive form, and degeneracy is a property of the set, so the
         # sets of the same-form products are exactly the degenerate sets
-        grouped = [_rows_by_form(rows, mask) for rows in lists]
+        grouped = [_rows_by_form(rows) for rows in lists]
         for form in set(grouped[0]).intersection(*grouped[1:]):
-            seen -= _index_sets([g[form] for g in grouped], mask, n)
+            seen -= _index_sets([g[form] for g in grouped], len(mask), n)
     # a set is dominated when it properly contains another set; its minimal
     # dominator is kept and lies in seen, so looking up its subsets of every
     # smaller size present in seen finds exactly the dominated sets
@@ -162,17 +163,11 @@ def build_constraints(
     return ConstraintSet(n, d, tuple(constraints))
 
 
-def _index_sets(
-    lists: list[list[tuple[int, ...]]], mask: tuple[int, ...], n: int
-) -> set[frozenset[int]]:
+def _index_sets(lists: list[Rows], width: int, n: int) -> set[frozenset[int]]:
     """Distinct masked point-index sets of the tuple product of the lists."""
-    # rows that differ only in unmasked columns give the same contributions;
-    # deduplicating them first leaves the product's set of sets unchanged
-    *outer, last = (
-        list(dict.fromkeys(c)) for c in _index_contributions(lists, mask, n)
-    )
+    *outer, last = _index_contributions(lists, n)
     sets: set[frozenset[int]] = set()
-    for base in _base_sums(outer, len(mask)):
+    for base in _base_sums(outer, width):
         sets.update(frozenset(map(add, base, row)) for row in last)
     return sets
 

@@ -236,7 +236,7 @@ def rank_profile(system: VectorSystem) -> list[tuple[int, tuple[int, ...]]]:
 def parse_system(text: str) -> VectorSystem:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to read
         raise SystemFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise SystemFormatError("system document must be a JSON object")

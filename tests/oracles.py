@@ -8,6 +8,7 @@ rank equality, partitions from explicit enumeration, colorings from full
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
@@ -133,6 +134,13 @@ def _naive_vector_solutions(systems_rows, n):
         for eqs in systems_rows
     ]
     return tuple(product(*per_coordinate))
+
+
+def naive_masked_rows(rows, n, mask):
+    """Each masked projection of the solutions of one scalar system in
+    [1,n]^k, with the number of solutions that project to it."""
+    grids = naive_vector_solutions([rows], n)
+    return Counter(tuple(grid[0][j] for j in mask) for grid in grids)
 
 
 def lex_index(point, n):

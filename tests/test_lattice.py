@@ -2,6 +2,8 @@ import json
 import math
 import random
 import time
+import warnings
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from rado.errors import BudgetExceededError, DimensionMismatchError, SystemFormatError
 from rado.lattice import (
+    DEFAULT_BUDGET,
     Coloring,
+    _masked_solutions,
     box_points,
     count_degenerate,
     count_monochromatic,
@@ -27,7 +31,9 @@ from rado.systems import ScalarSystem, VectorSystem
 
 from oracles import (
     degenerate_oracle,
+    det_rank,
     naive_degenerate_count,
+    naive_masked_rows,
     naive_monochromatic_counts,
     naive_vector_solutions,
 )
@@ -75,14 +81,87 @@ class TestEnumerateScalar:
 
     def test_dependent_rows_warn(self):
         dup = ScalarSystem.from_rows([[1, 1, -1], [2, 2, -2]])
-        with pytest.warns(UserWarning, match="dependent rows"):
+        with pytest.warns(UserWarning, match="dependent rows") as record:
             sols = enumerate_scalar_solutions(dup, 3)
         assert sols == enumerate_scalar_solutions(SCHUR, 3)
+        # the warning names the caller, not the library
+        assert record[0].filename == __file__
 
     def test_fractional_pivots_filtered(self):
         # 2x = y over [1,6]: x = y/2 must be integral
         halving = ScalarSystem.from_rows([[2, -1]])
         assert enumerate_scalar_solutions(halving, 6) == [(1, 2), (2, 4), (3, 6)]
+
+
+def _masked_outcome(system, n, mask, budget):
+    try:
+        return dict(_masked_solutions(system, n, mask, budget))
+    except BudgetExceededError as e:
+        return ("refused", e.projected, e.budget)
+
+
+def _oracle_outcome(rows, n, mask, budget):
+    free = len(rows[0]) - det_rank(rows)
+    if n >= 1 and n**free > budget:
+        return ("refused", n**free, budget)
+    return dict(naive_masked_rows(rows, n, mask))
+
+
+def _seeded_scalar_case(seed):
+    """1-3 rows, 1-5 columns, entries -4..4, n = 0..9; one budget in four
+    refuses more.  Most such systems have no solution in the box, so odd
+    seeds plant one: their rows are drawn until they vanish on a point of it.
+    """
+    rng = random.Random(seed)
+    k, m, n = rng.randint(1, 5), rng.randint(1, 3), rng.randint(0, 9)
+    planted = [rng.randint(1, max(n, 1)) for _ in range(k)]
+    rows = []
+    while len(rows) < m:
+        row = [rng.randint(-4, 4) for _ in range(k)]
+        if seed % 2 == 0 or sum(a * x for a, x in zip(row, planted)) == 0:
+            rows.append(row)
+    budget = rng.choice((DEFAULT_BUDGET, DEFAULT_BUDGET, DEFAULT_BUDGET, 60))
+    return pytest.param(rows, n, budget, id=f"seed{seed}")
+
+
+MASKED_CASES = [
+    pytest.param([[2, -1]], 9, DEFAULT_BUDGET, id="rational-pivot"),
+    pytest.param([[1, 1, -1, 0]], 7, DEFAULT_BUDGET, id="zero-column"),
+    pytest.param([[0, 0, 0]], 4, DEFAULT_BUDGET, id="zero-row"),
+    pytest.param(PROGRESSION.coeffs, 9, DEFAULT_BUDGET, id="progression"),
+    # x2 = x3 / 2 moves with the last free column x3; x0 = x1 does not
+    pytest.param(
+        [[1, -1, 0, 0], [0, 0, 2, -1]], 9, DEFAULT_BUDGET, id="collapse-by-scale-2"
+    ),
+    # x0 = x1 / 2 is fixed while the last free column x2 runs
+    pytest.param([[2, -1, 0]], 9, DEFAULT_BUDGET, id="collapse-beside-scale-2"),
+] + [_seeded_scalar_case(seed) for seed in range(200)]
+
+
+@pytest.mark.parametrize("rows, n, budget", MASKED_CASES)
+def test_masked_solutions_match_oracle(rows, n, budget):
+    # every mask, the empty and the full one among them: the distinct masked
+    # projections, each counted as often as the brute-force grid has it
+    system = ScalarSystem.from_rows(rows)
+    k = system.variables
+    total = len(naive_vector_solutions([rows], n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero or dependent rows
+        for size in range(k + 1):
+            for mask in combinations(range(k), size):
+                got = _masked_outcome(system, n, mask, budget)
+                assert got == _oracle_outcome(rows, n, mask, budget), mask
+                if isinstance(got, dict):
+                    assert sum(got.values()) == total
+
+
+def test_flagship_dummy_column_is_counted():
+    # a + b = c with the free dummy w: 190 masked rows, each for every w
+    schur = MOTIVATING.coordinate_systems[0]
+    rows = _masked_solutions(schur, 20, (0, 1, 2), DEFAULT_BUDGET)
+    assert len(rows) == 190
+    assert set(rows.values()) == {20}
+    assert count_solutions(MOTIVATING, 20) == 3800 * 90 == 342_000
 
 
 class TestEnumerateVector:

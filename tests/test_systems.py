@@ -189,6 +189,11 @@ class TestFileFormat:
         with pytest.raises(SystemFormatError):
             parse_system('{"d": 2, "k": 2, "systems": [{"rows": [[1, -1]]}]}')
 
+    def test_integer_too_long_to_read(self):
+        coeff = "1" + "0" * 5000
+        with pytest.raises(SystemFormatError):
+            parse_system(f'{{"d": 1, "k": 2, "systems": [{{"rows": [[1, {coeff}]]}}]}}')
+
 
 class TestValidation:
     def test_dummy_zero_column_accepted(self):
