@@ -12,38 +12,60 @@ True tried before False, so results are deterministic.
 from __future__ import annotations
 
 import sys
+from itertools import compress, count, repeat
 from typing import Sequence
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    """Read a DIMACS CNF document into (num_vars, clauses)."""
+    """Read a DIMACS CNF document into (num_vars, clauses).
+
+    Comment and header lines are found with one pass of string methods.  The
+    literals between two of them are converted together, so a bad literal
+    above a bad header is still reported first.
+    """
+    # the closing comment line ends the last stretch of literals
+    lines = [*map(str.strip, text.splitlines()), "c"]
     num_vars = 0
-    clauses: list[list[int]] = []
-    current: list[int] = []
+    lits: list[int] = []
     saw_header = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
+    start = 0
+    for i in compress(count(), map(str.startswith, lines, repeat(("c", "p")))):
+        lits += _literals(" ".join(lines[start:i]).split())
+        start = i + 1
+        line = lines[i]
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad DIMACS header: {line!r}")
             num_vars = int(parts[2])
             saw_header = True
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(current)
     if not saw_header:
         raise ValueError("missing 'p cnf' header")
+    clauses: list[list[int]] = []
+    current: list[int] = []
+    for lit in lits:
+        if lit:
+            current.append(lit)
+        else:
+            clauses.append(current)
+            current = []
+    if current:
+        clauses.append(current)
     return num_vars, clauses
+
+
+def _literals(tokens: list[str]) -> list[int]:
+    """The tokens as ints, converting each distinct token once.
+
+    A CNF repeats few distinct literals, and ``int`` is the costly step.
+    """
+    distinct = set(tokens)
+    try:
+        table = dict(zip(distinct, map(int, distinct)))
+    except ValueError:
+        # convert in order instead, to report the first bad token
+        table = dict(zip(tokens, map(int, tokens)))
+    return list(map(table.__getitem__, tokens))
 
 
 def solve_cnf(num_vars: int, clauses: Sequence[Sequence[int]]) -> list[bool] | None:
@@ -55,10 +77,10 @@ def solve_cnf(num_vars: int, clauses: Sequence[Sequence[int]]) -> list[bool] | N
     for clause in clauses:
         if not clause:
             return None
-        lits = sorted(set(int(l) for l in clause))
-        for l in lits:
-            if l == 0 or abs(l) > num_vars:
-                raise ValueError(f"literal {l} out of range for {num_vars} variables")
+        lits = sorted(set(map(int, clause)))
+        if lits[0] < -num_vars or lits[-1] > num_vars or 0 in lits:
+            bad = next(l for l in lits if l == 0 or abs(l) > num_vars)
+            raise ValueError(f"literal {bad} out of range for {num_vars} variables")
         cls.append(lits)
 
     # indexed by literal: -v wraps round to position 2 * num_vars + 1 - v

@@ -23,6 +23,8 @@ work per coordinate list instead of per tuple.
 from __future__ import annotations
 
 import json
+import os
+import sys
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -37,6 +39,7 @@ from .exactmath import rref
 from .systems import ScalarSystem, VectorSystem
 
 DEFAULT_BUDGET = 10**8
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 Point = tuple[int, ...]
 # distinct (masked) coordinate rows, each with its number of full solutions
@@ -170,9 +173,13 @@ def _masked_solutions(
     k = system.variables
     basis = rref(system.coeffs)
     if len(basis) < system.equations:
+        # name the first caller outside this package, however deep the call
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "coefficient matrix has dependent rows; using a row basis",
-            stacklevel=3,
+            stacklevel=level,
         )
     pivot_set = {p for p, _ in basis}
     free = [j for j in range(k) if j not in pivot_set]
@@ -393,19 +400,29 @@ def count_monochromatic(
     classes: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     for parts, w in last.items():
         classes[w].append(parts)
-    colors = coloring.colors
+    # per class and masked position, the last list's index contributions
+    offsets = [list(zip(*rows)) for rows in classes.values()]
     palette = range(coloring.r)
+    if coloring.r <= 256:
+        # one byte per point; translating a row's color bytes with marks[c]
+        # spells the row's bitset of color c in binary digits
+        marks = [bytes(49 if x == c else 48 for x in range(256)) for c in palette]
+
+        def bitsets(row: Iterable[int]) -> list[int]:
+            row = bytes(row)
+            # pad after translating: the pad's byte, 48, is also color 48's
+            return [int(b"0" + row.translate(m), 2) for m in marks]
+    else:
+
+        def bitsets(row: Iterable[int]) -> list[int]:
+            row = tuple(row)
+            return [int(b"0" + bytes(49 if x == c else 48 for x in row), 2) for c in palette]
+
+    color = coloring.colors.__getitem__
 
     @cache
     def column(pos: int, base: int) -> list[list[int]]:
-        out = []
-        for rows in classes.values():
-            row_colors = [colors[base + parts[pos]] for parts in rows]
-            out.append([
-                int("0" + "".join("1" if x == c else "0" for x in row_colors), 2)
-                for c in palette
-            ])
-        return out
+        return [bitsets(map(color, map(base.__add__, offs[pos]))) for offs in offsets]
 
     counts = [0] * coloring.r
     for base, weight in _base_sums(outer, len(mask)).items():

@@ -26,7 +26,11 @@ size).
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
 point first, ties by max-norm then index, i.e. lexicographic position) and
-turns kernel results into certified outcomes.
+turns kernel results into certified outcomes.  A witness is checked by its
+monochromatic tuple counts (``lattice.count_monochromatic``), which share no
+code with the kernels; the constraints are built only to report a violated
+set, or to decide when a tuple filter is set.  The DIMACS export joins each
+constraint's clauses from tables of its points' literals.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .lattice import (
     _index_contributions,
     _resolve_mask,
     _rows_by_form,
+    count_monochromatic,
     index_point,
 )
 from .systems import VectorSystem
@@ -235,7 +240,16 @@ def rado_number(
 def verify_witness(
     problem: SearchProblem, witness: Coloring, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
-    """Check a claimed avoiding coloring against freshly built constraints."""
+    """Check a claimed avoiding coloring by its monochromatic tuple counts.
+
+    With no monochromatic solution tuple (``count_monochromatic``) the
+    coloring passes, and no constraint is built.  Otherwise the constraints
+    are built and the first monochromatic one is reported.  With no tuple
+    filter some constraint must then be monochromatic: a monochromatic
+    tuple's set or a set it contains is built.  A tuple filter may drop the
+    only monochromatic tuples (degenerate or with repeated points), so there
+    the build decides.
+    """
     if witness.d != problem.system.d:
         raise DimensionMismatchError(
             f"witness dimension {witness.d} does not match system dimension "
@@ -245,12 +259,16 @@ def verify_witness(
         raise ValueError(
             f"witness uses {witness.r} colors but the problem allows {problem.colors}"
         )
+    if not any(count_monochromatic(problem.system, witness, problem.mask, budget)):
+        return VerificationReport(True, None, None)
     cs = build_constraints(problem, witness.n, budget)
     colors = witness.colors
     for con in cs.constraints:
         c0 = colors[con[0]]
         if all(colors[i] == c0 for i in con[1:]):
             return VerificationReport(False, cs.decode(con), c0)
+    if not (problem.exclude_degenerate or problem.require_distinct):
+        raise RuntimeError("monochromatic tuples counted but no monochromatic constraint built")
     return VerificationReport(True, None, None)
 
 
@@ -276,13 +294,11 @@ def export_dimacs(
         "c point index: lexicographic over the box, (1,...,1) -> 0",
     ]
     clauses: list[str] = []
+    used = set(chain.from_iterable(cs.constraints))
     if r == 2:
         lines.append("c variable i+1 <-> point i; true = color 0, false = color 1")
-        for con in cs.constraints:
-            pos = " ".join(str(i + 1) for i in con)
-            neg = " ".join(str(-(i + 1)) for i in con)
-            clauses.append(f"{pos} 0")
-            clauses.append(f"{neg} 0")
+        # a constraint's points are not all color 0, and not all color 1
+        tables = [{i: str(i + 1) for i in used}, {i: str(-(i + 1)) for i in used}]
         num_vars = num_points
     else:
         lines.append(f"c variable point*{r} + color + 1 <-> point has that color")
@@ -292,12 +308,13 @@ def export_dimacs(
             for g in range(r):
                 for h in range(g + 1, r):
                     clauses.append(f"{-(base + g + 1)} {-(base + h + 1)} 0")
-        for con in cs.constraints:
-            for g in range(r):
-                clauses.append(
-                    " ".join(str(-(i * r + g + 1)) for i in con) + " 0"
-                )
+        # a constraint's points do not all have color g
+        tables = [{i: str(-(i * r + g + 1)) for i in used} for g in range(r)]
         num_vars = num_points * r
+    # one clause per constraint and table of its points' literals
+    for con in cs.constraints:
+        for lits in tables:
+            clauses.append(" ".join(map(lits.__getitem__, con)) + " 0")
     lines.append(f"p cnf {num_vars} {len(clauses)}")
     lines.extend(clauses)
     return "\n".join(lines) + "\n"

@@ -40,6 +40,17 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_cnf(1, [[2]])
 
+    @pytest.mark.parametrize(
+        "num_vars, clauses, bad",
+        [(2, [[3, -5, 1]], -5), (2, [[-1, 0, 2]], 0), (2, [[1, 2, 3]], 3), (2, [[1], [2, -3]], -3)],
+    )
+    def test_out_of_range_message_names_the_smallest_bad_literal(self, num_vars, clauses, bad):
+        with pytest.raises(ValueError, match=f"^literal {bad} out of range for 2 variables$"):
+            solve_cnf(num_vars, clauses)
+
+    def test_empty_clause_before_a_bad_literal_is_unsat(self):
+        assert solve_cnf(1, [[1], [], [5]]) is None
+
     def test_deep_formula_raises_the_recursion_limit(self):
         clauses = [[2 * i + 1, 2 * i + 2] for i in range(1500)]
         limit = sys.getrecursionlimit()
@@ -82,3 +93,25 @@ class TestParse:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             parse_dimacs("1 2 0\n")
+
+    def test_clauses_split_at_every_zero(self):
+        # two clauses on a line, a comment between clauses, tabs, -0, and
+        # a last clause with no closing 0
+        text = "p cnf 3 3\n1 -2 0 2 0\nc mid\n\t3   -1\t0\n2 -0\n1"
+        assert parse_dimacs(text) == (3, [[1, -2], [2], [3, -1], [2], [1]])
+
+    def test_empty_clauses_kept(self):
+        assert parse_dimacs("p cnf 1 2\n0\n0 1 0\n") == (1, [[], [], [1]])
+
+    def test_bad_header(self):
+        with pytest.raises(ValueError, match="bad DIMACS header: 'p cnf 3'"):
+            parse_dimacs("p cnf 3")
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [("p cnf 2 1\n1 x 0 y\n", "x"), ("1 z 0\np cnf 3\n", "z"), ("p cnf 2 1\n1 0\n2 1.5 0\n", "1.5")],
+    )
+    def test_first_bad_literal_reported(self, text, token):
+        # in text order, even above a bad header
+        with pytest.raises(ValueError, match=f"invalid literal for int.*'{token}'"):
+            parse_dimacs(text)

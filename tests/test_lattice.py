@@ -26,7 +26,7 @@ from rado.lattice import (
     point_index,
     serialize_coloring,
 )
-from rado.search import SearchProblem, build_constraints
+from rado.search import SearchProblem, build_constraints, verify_witness
 from rado.systems import ScalarSystem, VectorSystem
 
 from oracles import (
@@ -84,8 +84,20 @@ class TestEnumerateScalar:
         with pytest.warns(UserWarning, match="dependent rows") as record:
             sols = enumerate_scalar_solutions(dup, 3)
         assert sols == enumerate_scalar_solutions(SCHUR, 3)
-        # the warning names the caller, not the library
+        # the warning names the caller, not the library, however deep the
+        # library's call to the enumerator
         assert record[0].filename == __file__
+        problem = SearchProblem(VectorSystem((dup,)))
+        red = Coloring.constant(3, 1, r=2)
+        for call in (
+            lambda: count_solutions(problem.system, 3),
+            lambda: count_monochromatic(problem.system, red),
+            lambda: build_constraints(problem, 3),
+            lambda: verify_witness(problem, red),
+        ):
+            with pytest.warns(UserWarning, match="dependent rows") as record:
+                call()
+            assert [w.filename for w in record] == [__file__] * len(record)
 
     def test_fractional_pivots_filtered(self):
         # 2x = y over [1,6]: x = y/2 must be integral
@@ -280,7 +292,8 @@ def _case_id(case):
 
 
 def _seeded_colorings(n, d, seed):
-    """Colorings with r = 1, 2, 3, and an r=3 one that never uses color 1."""
+    """Colorings with r = 1, 2, 3, an r=3 one that never uses color 1, and
+    two with colors around 48 (the digit "0") and past 255 (one byte)."""
     rng = random.Random(seed)
     size = n**d
     out = [
@@ -288,6 +301,8 @@ def _seeded_colorings(n, d, seed):
         for r in (1, 2, 3)
     ]
     out.append(Coloring(n, d, 3, tuple(rng.choice((0, 2)) for _ in range(size))))
+    out.append(Coloring(n, d, 50, tuple(rng.choice((47, 48, 49)) for _ in range(size))))
+    out.append(Coloring(n, d, 300, tuple(rng.choice((0, 48, 255, 256)) for _ in range(size))))
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from oracles import naive_constraints
 from rado.dpll import parse_dimacs, solve_cnf
 from rado.errors import BudgetExceededError, DimensionMismatchError
 from rado.kernel import available_backends, solve_avoidability
-from rado.lattice import Coloring, is_degenerate, point_index
+from rado.lattice import Coloring, count_monochromatic, is_degenerate, point_index
 from rado.search import (
     AVOIDABLE,
     TRIVIALLY_UNAVOIDABLE,
@@ -341,9 +342,77 @@ class TestVerifyWitness:
             verify_witness(SCHUR_1D, Coloring.constant(4, 1, r=3))
 
 
+# the benchmark's problems, the filtered ones included
+BENCH_PROBLEMS = {
+    "flagship r=2": MOTIV,
+    "flagship r=3": SearchProblem(MOTIVATING, colors=3, mask=(0, 1, 2)),
+    "non-degenerate diagonal Schur r=2": SearchProblem(DIAG_SCHUR, exclude_degenerate=True),
+    "Schur r=3": SearchProblem(VectorSystem((SCHUR,)), colors=3),
+    "Schur r=4": SearchProblem(VectorSystem((SCHUR,)), colors=4),
+    "weak Schur r=3": SearchProblem(VectorSystem((SCHUR,)), colors=3, require_distinct=True),
+    "3-AP r=3": SearchProblem(VectorSystem((PROGRESSION,)), colors=3, mask=(0, 1, 2)),
+    "4-AP r=2": SearchProblem(VectorSystem((AP4,)), mask=(0, 1, 2, 3)),
+}
+
+
+def _first_monochromatic_constraint(problem, coloring):
+    """verify_witness's report, from the built constraints alone."""
+    cs = build_constraints(problem, coloring.n)
+    for con in cs.constraints:
+        colors = {coloring.colors[i] for i in con}
+        if len(colors) == 1:
+            return False, cs.decode(con), colors.pop()
+    return True, None, None
+
+
+@pytest.mark.parametrize("label", BENCH_PROBLEMS)
+def test_verify_witness_matches_build_oracle(label):
+    problem = BENCH_PROBLEMS[label]
+    r, d = problem.colors, problem.system.d
+    rng = random.Random(label)
+    kinds = Counter()
+    for n in range(1, 9):
+        size = n**d
+        colorings = [
+            Coloring(n, d, r, tuple(rng.randrange(r) for _ in range(size))),
+            Coloring(n, d, r - 1, tuple(rng.randrange(r - 1) for _ in range(size))),
+        ]
+        witness = find_avoiding_coloring(problem, n).witness
+        for _ in range(2 if witness else 0):
+            colors = list(witness.colors)
+            i = rng.randrange(size)
+            colors[i] = (colors[i] + rng.randrange(1, r)) % r
+            colorings.append(Coloring(n, d, r, tuple(colors)))
+        for coloring in colorings:
+            report = verify_witness(problem, coloring)
+            expected = _first_monochromatic_constraint(problem, coloring)
+            assert (report.passed, report.violated_constraint, report.color) == expected
+            mono = count_monochromatic(problem.system, coloring, problem.mask)
+            kinds[report.passed, any(mono)] += 1
+    assert kinds[True, False] and kinds[False, True]
+    if problem.exclude_degenerate or problem.require_distinct:
+        # monochromatic tuples that the filter drops, so the build decides
+        assert kinds[True, True]
+
+
 class TestDimacs:
     def test_bit_exact_output(self):
         assert export_dimacs(MOTIV, 5) == export_dimacs(MOTIV, 5)
+
+    @pytest.mark.parametrize(
+        "label, n, digest",
+        [
+            ("flagship r=2", 9, "4639043c9d3d768be4c65c48192be98bb416b07ef17ce8e42581eabf0eaa4ee9"),
+            ("flagship r=3", 12, "0475d7001cc0f2cdd7da7dbcabe0dd14c5e66f72f509368496854a9d15cd3b52"),
+            ("non-degenerate diagonal Schur r=2", 5,
+             "554b5f4a117357d5912198dc7722cc25d21cf8298decdd51137ef8682e60a775"),
+            ("weak Schur r=3", 9, "12c05ee157b86944167d381e8bec328cffae6ee2a0d654e4d5b4901765dba060"),
+        ],
+    )
+    def test_output_pinned(self, label, n, digest):
+        # sha256 of the text as the per-literal export of commit c3f1dc5 wrote it
+        text = export_dimacs(BENCH_PROBLEMS[label], n)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_no_constraints_yields_no_clauses(self):
         text = export_dimacs(SCHUR_1D, 1)
