@@ -7,13 +7,18 @@ false, stopping at two: a true one means satisfied, none a conflict and one
 unassigned a unit to propagate.  Clauses keep no state, so backtracking only
 unassigns the trail.  Branching follows a static most-occurrences order with
 True tried before False, so results are deterministic.
+
+Before the search, one pass over all the literals checks the formula, and a
+formula that fails it is normalised clause by clause.  Each literal's
+occurrence list names a clause once, even where the clause repeats the
+literal, so repeats do not change the branching order or the model.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import compress, count, repeat
-from typing import Sequence
+from itertools import chain, compress, count, repeat
+from typing import Iterable
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
@@ -21,7 +26,9 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 
     Comment and header lines are found with one pass of string methods.  The
     literals between two of them are converted together, so a bad literal
-    above a bad header is still reported first.
+    above a bad header is still reported first.  The header's two counts must
+    be non-negative integers; the clause count is not checked against the
+    clauses read.
     """
     # the closing comment line ends the last stretch of literals
     lines = [*map(str.strip, text.splitlines()), "c"]
@@ -35,7 +42,7 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         line = lines[i]
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not all(map(str.isdecimal, parts[2:])):
                 raise ValueError(f"bad DIMACS header: {line!r}")
             num_vars = int(parts[2])
             saw_header = True
@@ -68,26 +75,63 @@ def _literals(tokens: list[str]) -> list[int]:
     return list(map(table.__getitem__, tokens))
 
 
-def solve_cnf(num_vars: int, clauses: Sequence[Sequence[int]]) -> list[bool] | None:
+def _plain_size(num_vars: int, cls: list) -> int | None:
+    """The number of literals in cls, or None unless the search can read it as is.
+
+    That takes clauses that are non-empty lists or tuples of exact ints in
+    [-num_vars, num_vars], with no 0.
+    """
+    if not ({*map(type, cls)} <= {list, tuple} and all(cls)):
+        return None
+    flat = [*chain.from_iterable(cls)]
+    if {*map(type, flat)} <= {int}:
+        # bool and float literals would merge with int ones in a set
+        lits = {*flat}
+        if 0 not in lits and -num_vars <= min(lits, default=0) and max(lits, default=0) <= num_vars:
+            return len(flat)
+    return None
+
+
+def solve_cnf(num_vars: int, clauses: Iterable[Iterable[int]]) -> list[bool] | None:
     """Model as a 1-indexed list of bools (index 0 unused), or None if UNSAT.
 
-    Variables absent from every clause are reported False.
+    Variables absent from every clause are reported False.  A formula of
+    non-empty list or tuple clauses of exact ints in [-num_vars, num_vars],
+    with no 0, passes one check over all its literals and is searched with no
+    per-clause copy.  Any other is normalised clause by clause through
+    ``int``: an empty clause returns None and a 0 or out-of-range literal
+    raises ValueError, whichever comes first.  A repeated literal is listed
+    once in its occurrence list and dropped from the clause that repeats it,
+    so the model is that of the clauses' sorted distinct literals.
     """
-    cls: list[list[int]] = []
-    for clause in clauses:
-        if not clause:
-            return None
-        lits = sorted(set(map(int, clause)))
-        if lits[0] < -num_vars or lits[-1] > num_vars or 0 in lits:
-            bad = next(l for l in lits if l == 0 or abs(l) > num_vars)
-            raise ValueError(f"literal {bad} out of range for {num_vars} variables")
-        cls.append(lits)
+    if num_vars < 0:
+        raise ValueError(f"number of variables {num_vars} is negative")
+    cls = list(clauses)
+    size = _plain_size(num_vars, cls)
+    if size is None:
+        normalised: list[list[int]] = []
+        for clause in cls:
+            lits = sorted(set(map(int, clause)))
+            if not lits:
+                return None
+            if lits[0] < -num_vars or lits[-1] > num_vars or 0 in lits:
+                bad = next(l for l in lits if l == 0 or abs(l) > num_vars)
+                raise ValueError(f"literal {bad} out of range for {num_vars} variables")
+            normalised.append(lits)
+        cls = normalised
 
     # indexed by literal: -v wraps round to position 2 * num_vars + 1 - v
     occ: list[list[int]] = [[] for _ in range(2 * num_vars + 1)]
     for ci, lits in enumerate(cls):
         for l in lits:
             occ[l].append(ci)
+    if size is not None and sum(map(len, map(set, occ))) < size:
+        # a clause that repeats a literal sits in a row in that literal's list
+        for i, o in enumerate(occ):
+            if len(set(o)) < len(o):
+                occ[i] = list(dict.fromkeys(o))
+                for ci in {a for a, b in zip(o, o[1:]) if a == b}:
+                    cls[ci] = list(dict.fromkeys(cls[ci]))
     value: list[bool | None] = [None] * (2 * num_vars + 1)
     trail: list[int] = []
 
@@ -145,3 +189,6 @@ def solve_cnf(num_vars: int, clauses: Sequence[Sequence[int]]) -> list[bool] | N
         return [value[v] is True for v in range(num_vars + 1)] if dfs(0) else None
     finally:
         sys.setrecursionlimit(old_limit)
+        # dfs refers to itself, so this cycle would keep the search state,
+        # the caller's clauses among it, alive until the next gc collection
+        del dfs

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from itertools import product
@@ -50,6 +51,64 @@ class TestSolve:
 
     def test_empty_clause_before_a_bad_literal_is_unsat(self):
         assert solve_cnf(1, [[1], [], [5]]) is None
+
+    def test_empty_generator_clause_is_unsat(self):
+        assert solve_cnf(1, [[1], iter([]), [5]]) is None
+
+    def test_bad_literal_before_an_empty_clause_raises(self):
+        with pytest.raises(ValueError, match="^literal 5 out of range for 1 variables$"):
+            solve_cnf(1, [[1], [5], []])
+
+    def test_negative_variable_count_raises(self):
+        with pytest.raises(ValueError, match="number of variables -1 is negative"):
+            solve_cnf(-1, [])
+
+    @pytest.mark.parametrize(
+        "clauses",
+        [
+            [[True, 2], [-2]],
+            [[1.0, 2.0], [-2.0]],
+            [[1, 2], (l for l in [-2])],
+            [(l for l in c) for c in [[1, 2], [-2]]],
+            iter([[1, 2], [-2]]),
+            ([l for l in c] for c in [[1, 2], [-2]]),
+        ],
+        ids=["bool", "float", "generator clause", "generator clauses", "iterator", "generator of lists"],
+    )
+    def test_literals_and_clauses_of_other_types(self, clauses):
+        assert solve_cnf(2, clauses) == [False, True, False]
+
+    def test_model_ignores_repeats_order_and_tuples(self):
+        # the model, not just the verdict, is that of the sorted distinct
+        # literals: repeats must not change the branching order
+        rng = random.Random(1414)
+        models = 0
+        for _ in range(300):
+            num_vars = rng.randint(1, 12)
+            clauses = [
+                [rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(rng.randint(1, 4))]
+                for _ in range(rng.randint(1, 20))
+            ]
+            expected = solve_cnf(num_vars, [sorted(set(map(int, c))) for c in clauses])
+            models += expected is not None
+            variant = []
+            for c in clauses:
+                c = c + rng.choices(c, k=rng.randint(0, 3))
+                rng.shuffle(c)
+                variant.append(tuple(c) if rng.random() < 0.5 else c)
+            assert solve_cnf(num_vars, variant) == expected, (num_vars, variant)
+        assert 50 < models < 250
+
+    def test_search_state_is_freed_on_return(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert solve_cnf(2, [[1, 2], [-1, 2]]) == [False, True, True]
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_deep_formula_raises_the_recursion_limit(self):
         clauses = [[2 * i + 1, 2 * i + 2] for i in range(1500)]
@@ -106,6 +165,11 @@ class TestParse:
     def test_bad_header(self):
         with pytest.raises(ValueError, match="bad DIMACS header: 'p cnf 3'"):
             parse_dimacs("p cnf 3")
+
+    @pytest.mark.parametrize("header", ["p cnf 3 x", "p cnf -3 1", "p cnf x 1", "p cnf 3 -1"])
+    def test_header_counts_must_be_non_negative_integers(self, header):
+        with pytest.raises(ValueError, match=f"^bad DIMACS header: '{header}'$"):
+            parse_dimacs(header + "\n1 0\n")
 
     @pytest.mark.parametrize(
         "text, token",
