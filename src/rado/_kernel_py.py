@@ -129,3 +129,6 @@ def solve(
     finally:
         if old_limit < depth_needed:
             sys.setrecursionlimit(old_limit)
+        # dfs refers to itself, so this cycle would keep the search state,
+        # the caller's constraints among it, alive until the next gc collection
+        del dfs

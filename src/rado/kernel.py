@@ -14,6 +14,7 @@ kernels trust them.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from . import _kernel_py
@@ -60,8 +61,9 @@ def solve_avoidability(
         raise ValueError(f"colors must be in 1..62, got {colors}")
     if not all(constraints):
         raise ValueError("constraints must be non-empty")
-    lo = min(min(map(min, constraints), default=0), min(order, default=0))
-    hi = max(max(map(max, constraints), default=-1), max(order, default=-1))
+    points = list(chain.from_iterable(constraints))
+    lo = min(min(points, default=0), min(order, default=0))
+    hi = max(max(points, default=-1), max(order, default=-1))
     if lo < 0 or hi >= num_points:
         raise ValueError(
             f"point indices must lie in [0, {num_points}), got {lo}..{hi}"

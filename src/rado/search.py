@@ -13,15 +13,20 @@ lexicographic indices (``lattice._index_contributions``), and a tuple's
 index set is the sum of its rows' contributions.  The contributions of all
 coordinate lists but the last are summed once into distinct base sums
 (``lattice._base_sums``, shared with ``count_monochromatic``), and each set
-is a base plus one row of the last list.  A tuple is degenerate exactly
-when its masked coordinate rows share one primitive form (see ``lattice``),
-and degeneracy is a property of the set, so the degeneracy filter builds the
-sets of the same-form products, form by form, and subtracts them; no set is
-decoded into points.  A set that contains another set is dropped, because a
-coloring that splits the smaller set also splits the larger one; a set is
-found dominated by looking up each of its subsets, of every smaller size that
-occurs, among the built sets (nothing is dominated when all sets have one
-size).
+is a base plus one row of the last list, kept as a sorted tuple of distinct
+indices.  A base's values are base-n digits above the last coordinate, so
+multiples of n, while a last-list contribution lies below n: when a base's
+values are pairwise distinct, its argsort orders every set built on it, and
+only the sets on a tied base are sorted one by one.  A base is exactly one
+combination of outer rows.  A tuple is degenerate exactly when its masked
+coordinate rows share one primitive form (see ``lattice``), so the
+degeneracy filter finds the bases whose outer rows all have one form f and
+skips the last list's rows of form f on them (in one dimension, every row);
+no set is built and then removed, and no set is decoded into points.  A set
+that contains another set is dropped, because a coloring that splits the
+smaller set also splits the larger one; a set is found dominated by looking
+up each of its subsets, of every smaller size that occurs, among the built
+sets (nothing is dominated when all sets have one size).
 
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
@@ -35,10 +40,9 @@ constraint's clauses from tables of its points' literals.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import add
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -136,45 +140,75 @@ def build_constraints(
         return ConstraintSet(n, d, ())
     lists = _coordinate_solutions(system, n, mask, budget)
     _check_product_budget(lists, budget)
-    seen = _index_sets(lists, len(mask), n)
+    seen = _index_sets(lists, len(mask), n, problem.exclude_degenerate)
     if problem.require_distinct:
         seen = {s for s in seen if len(s) == len(mask)}
-    if problem.exclude_degenerate:
-        # a tuple is degenerate exactly when its masked rows share one
-        # primitive form, and degeneracy is a property of the set, so the
-        # sets of the same-form products are exactly the degenerate sets
-        grouped = [_rows_by_form(rows) for rows in lists]
-        for form in set(grouped[0]).intersection(*grouped[1:]):
-            seen -= _index_sets([g[form] for g in grouped], len(mask), n)
     # a set is dominated when it properly contains another set; its minimal
     # dominator is kept and lies in seen, so looking up its subsets of every
-    # smaller size present in seen finds exactly the dominated sets
-    sizes = {len(s) for s in seen}
+    # smaller size present in seen finds exactly the dominated sets (the
+    # subsets of a sorted tuple are sorted tuples, as the sets are)
+    sizes = set(map(len, seen))
     if len(sizes) > 1:
         kept = [
             s
             for s in seen
             if not any(
-                frozenset(c) in seen
-                for m in sizes
-                if m < len(s)
-                for c in combinations(s, m)
+                c in seen for m in sizes if m < len(s) for c in combinations(s, m)
             )
         ]
+        constraints = sorted(kept)
+        constraints.sort(key=len)
     else:
-        kept = seen
-    constraints = sorted(map(tuple, map(sorted, kept)))
-    constraints.sort(key=len)
+        constraints = sorted(seen)
     return ConstraintSet(n, d, tuple(constraints))
 
 
-def _index_sets(lists: list[Rows], width: int, n: int) -> set[frozenset[int]]:
-    """Distinct masked point-index sets of the tuple product of the lists."""
+def _index_sets(
+    lists: list[Rows], width: int, n: int, exclude_degenerate: bool
+) -> set[tuple[int, ...]]:
+    """Distinct masked point-index sets of the tuple product, as sorted tuples.
+
+    A set is a base plus one row of the last list, summed column by column.
+    A base's values are multiples of n and a last-list contribution lies
+    below n, so when the base's values are pairwise distinct, the argsort of
+    the base orders every set built on it: the columns are summed in that
+    order.  Only sets on a tied base (one dimension, or masked points that
+    share their leading coordinates) are sorted one by one.  With
+    `exclude_degenerate`, a base of same-form outer rows skips the last
+    list's rows of that form (``_degenerate_rows``).
+    """
     *outer, last = _index_contributions(lists, n)
-    sets: set[frozenset[int]] = set()
+    skip = _degenerate_rows(lists, width, n) if exclude_degenerate else {}
+    columns = list(zip(*last))
+    sets: set[tuple[int, ...]] = set()
     for base in _base_sums(outer, width):
-        sets.update(frozenset(map(add, base, row)) for row in last)
+        cols = columns
+        if base in skip:
+            cols = list(zip(*(last.keys() - skip[base])))
+        if not cols:
+            continue
+        order = sorted(range(width), key=base.__getitem__)
+        sums = zip(*[map(base[j].__add__, cols[j]) for j in order])
+        if len(set(base)) < width:
+            sums = map(tuple, map(sorted, map(set, sums)))
+        sets.update(sums)
     return sets
+
+
+def _degenerate_rows(lists: list[Rows], width: int, n: int) -> dict[tuple[int, ...], set]:
+    """Per base of same-form outer rows, the last list's rows of that form.
+
+    A tuple is degenerate exactly when its masked rows share one primitive
+    form.  A base is one combination of outer rows, so it has at most one
+    form, except in one dimension, where the one zero base takes every row.
+    """
+    grouped = [_rows_by_form(rows) for rows in lists]
+    skip: dict[tuple[int, ...], set] = defaultdict(set)
+    for form in set(grouped[0]).intersection(*grouped[1:]):
+        *outer, last = _index_contributions([g[form] for g in grouped], n)
+        for base in _base_sums(outer, width):
+            skip[base].update(last)
+    return skip
 
 
 def _branch_order(cs: ConstraintSet) -> list[int]:

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import inspect
 import random
+import re
 import signal
 import time
 
@@ -14,6 +16,11 @@ from rado.systems import ScalarSystem, VectorSystem
 from oracles import avoidable_all_colorings
 
 BACKENDS = available_backends()
+
+
+def whole(message):
+    """A pattern that matches exactly this message."""
+    return f"^{re.escape(message)}$"
 
 
 def check_witness(constraints, colors):
@@ -55,16 +62,35 @@ class TestKernel:
             (2, 0, [(0, 1)], [0, 1], "colors"),
             (2, -1, [(0, 1)], [0, 1], "colors"),
             (2, 2, [()], [0, 1], "non-empty"),
+            # the empty order still counts as 0 at the low end
+            (5, 2, [(1, 7)], [], whole("point indices must lie in [0, 5), got 0..7")),
+            (5, 2, [(1, 2)], [9], whole("point indices must lie in [0, 5), got 1..9")),
+            (5, 2, [(3, 4)], [6, 2], whole("point indices must lie in [0, 5), got 2..6")),
             # 63 colors: test_color_count_cap
         ],
         ids=["order-7", "constraint-5", "constraint-neg", "order-neg",
-             "colors-0", "colors-neg", "constraint-empty"],
+             "colors-0", "colors-neg", "constraint-empty",
+             "range-empty-order", "range-from-order", "range-across-both"],
     )
     def test_rejects_bad_input(
         self, backend, num_points, colors, constraints, order, message
     ):
         with pytest.raises(ValueError, match=message):
             solve_avoidability(num_points, colors, constraints, order, backend=backend)
+
+
+def test_python_search_state_is_freed_on_return():
+    # the 3-term progressions of 0..8: no 2-coloring avoids them all
+    aps = [(a, a + s, a + 2 * s) for s in range(1, 5) for a in range(9 - 2 * s)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert solve_avoidability(9, 2, aps, range(9), backend="python") == (False, None)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _compiled_extension_imports():

@@ -28,6 +28,7 @@ from rado.systems import ScalarSystem, VectorSystem
 SCHUR = ScalarSystem.from_rows([[1, 1, -1]])
 PROGRESSION = ScalarSystem.from_rows([[-1, 1, 0, -1], [0, -1, 1, -1]])
 MOTIVATING = VectorSystem.from_rows([[[1, 1, -1, 0]], [[-1, 1, 0, -1], [0, -1, 1, -1]]])
+SCHUR_W = MOTIVATING.coordinate_systems[0]  # a + b = c, with the dummy w free
 DIAG_SCHUR = VectorSystem.diagonal(SCHUR, 2)
 # x + y = 2z per coordinate: rows such as (2, 4, 3) and (4, 8, 6) share a
 # primitive form without being equal, and the degenerate sets dominate many
@@ -37,6 +38,9 @@ MIDPOINT = VectorSystem.diagonal(ScalarSystem.from_rows([[1, 1, -2]]), 2)
 # be scaled to match: degeneracy must come from the masked rows' primitive
 # form, not the full rows' (which builds 3 sets instead of 2 at n = 3)
 TIED_DUMMY = VectorSystem.from_rows([[[1, 1, -1, 0], [2, 0, 0, -1]], [[1, 1, -1, 0], [3, 0, 0, -1]]])
+# the flagship's coordinate systems as (sum, progression, sum): the outer
+# coordinates differ, so a base's outer rows can have mixed primitive forms
+SUM_AP_SUM = VectorSystem((SCHUR_W, PROGRESSION, SCHUR_W))
 AP4 = ScalarSystem.from_rows([[-1, 1, 0, 0, -1], [0, -1, 1, 0, -1], [0, 0, -1, 1, -1]])
 
 SCHUR_1D = SearchProblem(VectorSystem((SCHUR,)), colors=2)
@@ -134,6 +138,16 @@ BUILD_PROBLEMS = {
     "tied-dummy-mask-0,1,2-nondegenerate": SearchProblem(
         TIED_DUMMY, mask=(0, 1, 2), exclude_degenerate=True
     ),
+    # one masked point: each set is one index
+    "flagship-mask-0": SearchProblem(MOTIVATING, mask=(0,)),
+    "flagship-mask-3": SearchProblem(MOTIVATING, mask=(3,)),
+    "sum-ap-sum-3d-nondegenerate": SearchProblem(SUM_AP_SUM, exclude_degenerate=True),
+    "sum-ap-sum-3d-mask-0,1,2-nondegenerate": SearchProblem(
+        SUM_AP_SUM, mask=(0, 1, 2), exclude_degenerate=True
+    ),
+    "flagship-mask-0,1,2-nondegenerate-distinct": SearchProblem(
+        MOTIVATING, mask=(0, 1, 2), exclude_degenerate=True, require_distinct=True
+    ),
 }
 
 # largest n at which the brute-force oracle is compared, per problem
@@ -153,6 +167,11 @@ ORACLE_MAX_N = {
     "diagonal-schur-3d-nondegenerate": 4,
     "midpoint-nondegenerate": 8,
     "tied-dummy-mask-0,1,2-nondegenerate": 6,
+    "flagship-mask-0": 5,
+    "flagship-mask-3": 5,
+    "sum-ap-sum-3d-nondegenerate": 3,
+    "sum-ap-sum-3d-mask-0,1,2-nondegenerate": 4,
+    "flagship-mask-0,1,2-nondegenerate-distinct": 5,
 }
 
 
