@@ -3,11 +3,14 @@
 The compiled extension ``_kernel_c`` (one hand-written C file built by
 ``setup.py``) is preferred when it imported successfully; pass
 ``backend="python"`` to ``solve_avoidability`` to run the pure-Python
-implementation instead.  Both test a constraint the same way (count its
-points not colored h, stopping at two) and differ only in how they restore
-state on backtracking: the Python kernel snapshots it per branch point, the
-C kernel trails every change.  They follow the identical deterministic
-decision sequence, so results do not depend on the choice.
+implementation instead.  When a point is colored h, both reach the same
+verdict on each of its constraints in the same order: the C kernel counts
+the constraint's points not colored h, stopping at two, while the Python
+kernel skips a constraint with no other point colored h and intersects
+bitsets for the rest.  They restore state on backtracking differently: the
+Python kernel snapshots it per branch point, the C kernel trails every
+change.  They follow the identical deterministic decision sequence, so
+results do not depend on the choice.
 ``solve_avoidability`` validates the arguments once for both backends; the
 kernels trust them.
 """

@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import add
 from typing import Sequence
 
 from .errors import DimensionMismatchError
@@ -56,8 +57,8 @@ from .lattice import (
     _check_product_budget,
     _coordinate_solutions,
     _index_contributions,
+    _primitive,
     _resolve_mask,
-    _rows_by_form,
     count_monochromatic,
     index_point,
 )
@@ -177,8 +178,9 @@ def _index_sets(
     `exclude_degenerate`, a base of same-form outer rows skips the last
     list's rows of that form (``_degenerate_rows``).
     """
-    *outer, last = _index_contributions(lists, n)
-    skip = _degenerate_rows(lists, width, n) if exclude_degenerate else {}
+    contributions = _index_contributions(lists, n)
+    *outer, last = contributions
+    skip = _degenerate_rows(lists, contributions, width) if exclude_degenerate else {}
     columns = list(zip(*last))
     sets: set[tuple[int, ...]] = set()
     for base in _base_sums(outer, width):
@@ -195,19 +197,31 @@ def _index_sets(
     return sets
 
 
-def _degenerate_rows(lists: list[Rows], width: int, n: int) -> dict[tuple[int, ...], set]:
+def _degenerate_rows(
+    lists: list[Rows], contributions: list[Rows], width: int
+) -> dict[tuple[int, ...], set]:
     """Per base of same-form outer rows, the last list's rows of that form.
 
     A tuple is degenerate exactly when its masked rows share one primitive
     form.  A base is one combination of outer rows, so it has at most one
     form, except in one dimension, where the one zero base takes every row.
+    Each list's contributions are grouped by their rows' forms in one pass;
+    a form's bases are the sums of one grouped contribution per outer list.
     """
-    grouped = [_rows_by_form(rows) for rows in lists]
+    grouped = []
+    for rows, contribs in zip(lists, contributions):
+        groups = defaultdict(list)
+        for row, c in zip(rows, contribs):
+            groups[_primitive(row)].append(c)
+        grouped.append(groups)
+    *outer, last = grouped
     skip: dict[tuple[int, ...], set] = defaultdict(set)
-    for form in set(grouped[0]).intersection(*grouped[1:]):
-        *outer, last = _index_contributions([g[form] for g in grouped], n)
-        for base in _base_sums(outer, width):
-            skip[base].update(last)
+    for form in set(last).intersection(*outer):
+        bases = [(0,) * width]
+        for groups in outer:
+            bases = {tuple(map(add, b, c)) for b in bases for c in groups[form]}
+        for base in bases:
+            skip[base].update(last[form])
     return skip
 
 

@@ -48,6 +48,12 @@ class TestKernel:
         ok3, colors = solve_avoidability(3, 3, cons, [0, 1, 2], backend=backend)
         assert ok3 and check_witness(cons, colors)
 
+    def test_pair_colors_partner_outside_order(self, backend):
+        # 1 is colored only because its one partner took color 0
+        assert solve_avoidability(2, 2, [(0, 1)], [0], backend=backend) == (True, [0, 1])
+        cons = [(0, 1), (1, 2), (0, 1, 3)]
+        assert solve_avoidability(4, 2, cons, [0], backend=backend) == (True, [0, 1, 0, 0])
+
     def test_color_count_cap(self, backend):
         with pytest.raises(ValueError):
             solve_avoidability(1, 63, [], [], backend=backend)
@@ -192,14 +198,18 @@ def test_backends_match_brute_force_and_each_other():
         )
 
 
+# sha256 of the repr of the 300 (ok, colors) answers below: every backend
+# must give them, so the test checks propagation with one backend too
+PROPAGATION_ANSWERS = "4723c126ea137bde234783b8d5abbbb59e0a0e8703899cdfb6e6294d8a32a8aa"
+
+
 def test_backends_match_on_propagation_and_partial_orders():
     # shuffled and partial orders: points left out of `order` are colored only
     # by propagation, a path that the brute-force test above never reaches
-    if len(BACKENDS) < 2:
-        pytest.skip("only one kernel backend available")
     rng = random.Random(2024)
     statuses = set()
     propagated = 0
+    answers = []
     for _ in range(300):
         num_points = rng.randint(2, 60)
         r = rng.randint(1, 5)
@@ -219,10 +229,12 @@ def test_backends_match_on_propagation_and_partial_orders():
             num_points, r, cons, order, results,
         )
         statuses.add(ok)
+        answers.append((ok, colors))
         if ok and any(colors[p] for p in set(range(num_points)) - set(order)):
             propagated += 1
     assert statuses == {True, False}
     assert propagated > 0
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == PROPAGATION_ANSWERS
 
 
 SCHUR = VectorSystem.from_rows([[[1, 1, -1]]])
