@@ -58,11 +58,12 @@ def solve(
 ) -> tuple[bool, list[int] | None]:
     """Return (avoidable, assignment); assignment colors every point, -1 kept as 0.
 
-    `constraints` must not contain singletons (a singleton is unavoidable and
-    should be short-circuited by the caller).  `order` lists the points the
-    search may branch on; points outside it are only colored by propagation.
-    `colors` lies in 1..62 and every point index in [0, num_points); the
-    dispatcher checks both.
+    `constraints` must not contain singletons: a singleton is unavoidable,
+    and the dispatcher and the search answer it without a kernel.  `order`
+    lists the points the search may branch on; points outside it are only
+    colored by propagation.  `colors` lies in 1..62, which the backend
+    selection checks, and every point index in [0, num_points), which the
+    public dispatcher checks and the search's build guarantees.
     """
     bits = [1 << p for p in range(num_points)]
     point_of = {b: p for p, b in enumerate(bits)}

@@ -11,14 +11,19 @@ bitsets for the rest.  They restore state on backtracking differently: the
 Python kernel snapshots it per branch point, the C kernel trails every
 change.  They follow the identical deterministic decision sequence, so
 results do not depend on the choice.
-``solve_avoidability`` validates the arguments once for both backends; the
-kernels trust them.
+``_kernel`` picks the backend and checks the color count.  The public
+``solve_avoidability`` adds the checks its caller cannot vouch for (no
+empty constraint, every point index in range) and answers a constraint of
+one distinct point itself, as unavoidable.  ``search.find_avoiding_coloring``
+calls ``_kernel`` directly: its constraints and branch order come from the
+build, so they are in range, and it reports a singleton before any search.
+The kernels trust their arguments.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _kernel_py
 
@@ -40,18 +45,10 @@ def default_backend() -> str:
     return "c" if "c" in _BACKENDS else "python"
 
 
-def solve_avoidability(
-    num_points: int,
-    colors: int,
-    constraints: Sequence[Sequence[int]],
-    order: Sequence[int],
-    backend: str | None = None,
-) -> tuple[bool, list[int] | None]:
-    """Dispatch to the selected kernel; see ``_kernel_py.solve`` for the contract.
+def _kernel(backend: str | None, colors: int) -> Callable:
+    """The selected backend's solve function, once `colors` is in 1..62.
 
-    Raises ValueError for a color count outside 1..62 (a point's forbidden
-    colors are one 64-bit word in the compiled kernel), an empty constraint,
-    or a point index, in a constraint or in `order`, outside [0, num_points).
+    A point's forbidden colors are one 64-bit word in the compiled kernel.
     """
     name = backend if backend is not None else default_backend()
     try:
@@ -62,6 +59,24 @@ def solve_avoidability(
         ) from None
     if not 1 <= colors <= 62:
         raise ValueError(f"colors must be in 1..62, got {colors}")
+    return fn
+
+
+def solve_avoidability(
+    num_points: int,
+    colors: int,
+    constraints: Sequence[Sequence[int]],
+    order: Sequence[int],
+    backend: str | None = None,
+) -> tuple[bool, list[int] | None]:
+    """Dispatch to the selected kernel; see ``_kernel_py.solve`` for the contract.
+
+    Raises ValueError for a color count outside 1..62, an empty constraint,
+    or a point index, in a constraint or in `order`, outside [0, num_points).
+    A constraint of one distinct point is monochromatic under every coloring,
+    so it gives (False, None) without a search.
+    """
+    fn = _kernel(backend, colors)
     if not all(constraints):
         raise ValueError("constraints must be non-empty")
     points = list(chain.from_iterable(constraints))
@@ -71,4 +86,6 @@ def solve_avoidability(
         raise ValueError(
             f"point indices must lie in [0, {num_points}), got {lo}..{hi}"
         )
+    if 1 in map(len, map(set, constraints)):
+        return False, None
     return fn(num_points, colors, constraints, order)

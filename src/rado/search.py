@@ -20,18 +20,24 @@ values are pairwise distinct, its argsort orders every set built on it, and
 only the sets on a tied base are sorted one by one.  A base is exactly one
 combination of outer rows.  A tuple is degenerate exactly when its masked
 coordinate rows share one primitive form (see ``lattice``), so the
-degeneracy filter finds the bases whose outer rows all have one form f and
-skips the last list's rows of form f on them (in one dimension, every row);
-no set is built and then removed, and no set is decoded into points.  A set
-that contains another set is dropped, because a coloring that splits the
-smaller set also splits the larger one; a set is found dominated by looking
-up each of its subsets, of every smaller size that occurs, among the built
-sets (nothing is dominated when all sets have one size).
+degeneracy filter orders the last list's rows by form, finds the bases
+whose outer rows all have one form f and cuts the span of form f out of the
+last list's columns on them; in one dimension every tuple is degenerate and
+nothing is built.  No set is built and then removed, and no set is decoded
+into points.  A set that contains another set is dropped, because a
+coloring that splits the smaller set also splits the larger one; a set is
+found dominated by looking up each of its subsets, of every smaller size
+that occurs, among the built sets (nothing is dominated when all sets have
+one size).  The kept sets are ordered by size, then lexicographically: each
+size's sets take one stable sort per column, last column first, so the
+sorts compare ints rather than tuples.
 
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
 point first, ties by max-norm then index, i.e. lexicographic position) and
-turns kernel results into certified outcomes.  A witness is checked by its
+turns kernel results into certified outcomes.  The constraints and the order
+are in range by construction, so the search calls the kernel without the
+public dispatcher's range checks.  A witness is checked by its
 monochromatic tuple counts (``lattice.count_monochromatic``), which share no
 code with the kernels; the constraints are built only to report a violated
 set, or to decide when a tuple filter is set.  The DIMACS export joins each
@@ -42,12 +48,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations
-from operator import add
+from itertools import chain, combinations, product
+from operator import add, itemgetter
 from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .kernel import solve_avoidability
+from .kernel import _kernel
 from .lattice import (
     DEFAULT_BUDGET,
     Coloring,
@@ -148,7 +154,7 @@ def build_constraints(
     # dominator is kept and lies in seen, so looking up its subsets of every
     # smaller size present in seen finds exactly the dominated sets (the
     # subsets of a sorted tuple are sorted tuples, as the sets are)
-    sizes = set(map(len, seen))
+    sizes = sorted(set(map(len, seen)))
     if len(sizes) > 1:
         kept = [
             s
@@ -157,11 +163,15 @@ def build_constraints(
                 c in seen for m in sizes if m < len(s) for c in combinations(s, m)
             )
         ]
-        constraints = sorted(kept)
-        constraints.sort(key=len)
+        groups = [[s for s in kept if len(s) == m] for m in sizes]
     else:
-        constraints = sorted(seen)
-    return ConstraintSet(n, d, tuple(constraints))
+        groups = [list(seen)]
+    # sets of one size in lexicographic order: a stable sort per column,
+    # last column first
+    for m, group in zip(sizes, groups):
+        for j in reversed(range(m)):
+            group.sort(key=itemgetter(j))
+    return ConstraintSet(n, d, tuple(chain.from_iterable(groups)))
 
 
 def _index_sets(
@@ -175,20 +185,26 @@ def _index_sets(
     the base orders every set built on it: the columns are summed in that
     order.  Only sets on a tied base (one dimension, or masked points that
     share their leading coordinates) are sorted one by one.  With
-    `exclude_degenerate`, a base of same-form outer rows skips the last
-    list's rows of that form (``_degenerate_rows``).
+    `exclude_degenerate`, a base of same-form outer rows skips the span of
+    the last list's rows of that form (``_degenerate_rows``); in one
+    dimension every tuple is degenerate, so there is no set.
     """
+    sets: set[tuple[int, ...]] = set()
+    if exclude_degenerate and len(lists) == 1:
+        return sets
     contributions = _index_contributions(lists, n)
     *outer, last = contributions
-    skip = _degenerate_rows(lists, contributions, width) if exclude_degenerate else {}
+    if not last:
+        return sets
+    spans = {}
+    if exclude_degenerate:
+        last, spans = _degenerate_rows(lists, contributions, width)
     columns = list(zip(*last))
-    sets: set[tuple[int, ...]] = set()
     for base in _base_sums(outer, width):
         cols = columns
-        if base in skip:
-            cols = list(zip(*(last.keys() - skip[base])))
-        if not cols:
-            continue
+        if base in spans:
+            lo, hi = spans[base]
+            cols = [c[:lo] + c[hi:] for c in columns]
         order = sorted(range(width), key=base.__getitem__)
         sums = zip(*[map(base[j].__add__, cols[j]) for j in order])
         if len(set(base)) < width:
@@ -199,14 +215,17 @@ def _index_sets(
 
 def _degenerate_rows(
     lists: list[Rows], contributions: list[Rows], width: int
-) -> dict[tuple[int, ...], set]:
-    """Per base of same-form outer rows, the last list's rows of that form.
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], tuple[int, int]]]:
+    """The last list's contributions ordered by form, and each degenerate
+    base's span of them.
 
     A tuple is degenerate exactly when its masked rows share one primitive
-    form.  A base is one combination of outer rows, so it has at most one
-    form, except in one dimension, where the one zero base takes every row.
-    Each list's contributions are grouped by their rows' forms in one pass;
-    a form's bases are the sums of one grouped contribution per outer list.
+    form.  In two or more dimensions a base is one combination of outer
+    rows, so it has at most one form f, and its degenerate tuples are those
+    completed by the last list's rows of form f: one contiguous span
+    [lo, hi) of the ordered contributions.  Each list's contributions are
+    grouped by their rows' forms in one pass; a form's bases are the sums of
+    one grouped contribution per outer list.
     """
     grouped = []
     for rows, contribs in zip(lists, contributions):
@@ -215,25 +234,36 @@ def _degenerate_rows(
             groups[_primitive(row)].append(c)
         grouped.append(groups)
     *outer, last = grouped
-    skip: dict[tuple[int, ...], set] = defaultdict(set)
+    ordered: list[tuple[int, ...]] = []
+    span = {}
+    for form, contribs in last.items():
+        span[form] = (len(ordered), len(ordered) + len(contribs))
+        ordered += contribs
+    spans = {}
     for form in set(last).intersection(*outer):
         bases = [(0,) * width]
         for groups in outer:
             bases = {tuple(map(add, b, c)) for b in bases for c in groups[form]}
-        for base in bases:
-            skip[base].update(last[form])
-    return skip
+        spans.update(dict.fromkeys(bases, span[form]))
+    return ordered, spans
 
 
 def _branch_order(cs: ConstraintSet) -> list[int]:
     """Constrained points, most constraints first; ties by max-norm then lex.
 
     Lexicographic order of points is index order, so the index breaks the
-    last tie.
+    last tie.  The key is applied as stable sorts from its last part to its
+    first: by index, by max-norm (read from a table of every point's, in
+    index order; in one dimension it is the index), then by degree,
+    descending (``reverse=True`` keeps the sort stable).
     """
     degree = Counter(chain.from_iterable(cs.constraints))
-    n, d = cs.n, cs.d
-    return sorted(degree, key=lambda i: (-degree[i], max(index_point(i, n, d)), i))
+    order = sorted(degree)
+    if cs.d > 1:
+        norm = list(map(max, product(range(cs.n), repeat=cs.d)))
+        order.sort(key=norm.__getitem__)
+    order.sort(key=degree.__getitem__, reverse=True)
+    return order
 
 
 def find_avoiding_coloring(
@@ -258,7 +288,8 @@ def find_avoiding_coloring(
     if len(cs.constraints[0]) == 1:
         return SearchOutcome(TRIVIALLY_UNAVOIDABLE, None, cs.decode(cs.constraints[0]))
     order = _branch_order(cs)
-    ok, assignment = solve_avoidability(num_points, r, cs.constraints, order)
+    solve = _kernel(None, r)
+    ok, assignment = solve(num_points, r, cs.constraints, order)
     if ok:
         return SearchOutcome(AVOIDABLE, Coloring(n, d, r, tuple(assignment)), None)
     return SearchOutcome(UNAVOIDABLE, None, None)

@@ -306,6 +306,13 @@ class TestProblemOptions:
         assert result.exit_code == 0
         assert result.output.strip() == str(value)
 
+    def test_search_color_count_cap(self, runner, system_files):
+        result = runner.invoke(
+            main, ["search", "-f", system_files["schur"], "-n", "5", "--colors", "63"]
+        )
+        assert result.exit_code == 2
+        assert "colors must be in 1..62, got 63" in result.output
+
     @pytest.mark.parametrize("flag", ["--exclude-degenerate", "--distinct"])
     def test_export_dimacs_filters(self, runner, system_files, flag):
         def constraints(*flags):

@@ -54,6 +54,15 @@ class TestKernel:
         cons = [(0, 1), (1, 2), (0, 1, 3)]
         assert solve_avoidability(4, 2, cons, [0], backend=backend) == (True, [0, 1, 0, 0])
 
+    @pytest.mark.parametrize("singleton", [(1,), (1, 1)], ids=["one", "repeated"])
+    @pytest.mark.parametrize("order", [[0], [0, 1]], ids=["outside-order", "in-order"])
+    def test_singleton_is_unavoidable(self, backend, singleton, order):
+        # a set of one distinct point is monochromatic under every coloring,
+        # whether or not the search may branch on that point
+        assert solve_avoidability(2, 2, [singleton], order, backend=backend) == (False, None)
+        cons = [(0, 1), singleton]
+        assert solve_avoidability(2, 2, cons, order, backend=backend) == (False, None)
+
     def test_color_count_cap(self, backend):
         with pytest.raises(ValueError):
             solve_avoidability(1, 63, [], [], backend=backend)

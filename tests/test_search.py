@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -222,7 +223,7 @@ def test_build_pinned(label, n):
 
 @pytest.mark.parametrize(
     "label, n",
-    [("flagship-mask-0,1,2", 9), ("diagonal-schur-nondegenerate", 9), ("4-ap", 16)],
+    [*ORACLE_MAX_N.items(), *BUILD_PINS],
     ids=lambda v: v if isinstance(v, str) else f"n{v}",
 )
 def test_branch_order(label, n):
@@ -286,6 +287,16 @@ class TestFindAvoidingColoring:
     def test_invalid_box(self):
         with pytest.raises(ValueError):
             find_avoiding_coloring(SCHUR_1D, 0)
+
+    def test_color_count_cap(self):
+        # the search calls the kernel without the public dispatcher; the
+        # 1..62 check must still run on that path
+        problem = SearchProblem(VectorSystem((SCHUR,)), colors=63)
+        message = "^" + re.escape("colors must be in 1..62, got 63") + "$"
+        with pytest.raises(ValueError, match=message):
+            find_avoiding_coloring(problem, 5)
+        with pytest.raises(ValueError, match=message):
+            rado_number(problem, 5)
 
 
 # the search tests' problems at their largest avoidable n, and one above
