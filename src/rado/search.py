@@ -37,11 +37,20 @@ prepares the constraint hypergraph, the branching order (most-constrained
 point first, ties by max-norm then index, i.e. lexicographic position) and
 turns kernel results into certified outcomes.  The constraints and the order
 are in range by construction, so the search calls the kernel without the
-public dispatcher's range checks.  A witness is checked by its
+public dispatcher's range checks.  It selects the kernel, which checks the
+color count, before the build, so the count is refused even in a box with
+nothing to search.  A witness is checked by its
 monochromatic tuple counts (``lattice.count_monochromatic``), which share no
 code with the kernels; the constraints are built only to report a violated
 set, or to decide when a tuple filter is set.  The DIMACS export joins each
 constraint's clauses from tables of its points' literals.
+
+The minimal-n scan skips the boxes that a one-dimensional search proves
+avoidable.  A 1-d coloring that avoids coordinate system i, applied to
+every point's i-th coordinate, avoids the d-dimensional problem (the lift),
+so in two or more dimensions the scan first searches each distinct
+coordinate system alone, without tuple filters, and then searches the
+d-dimensional boxes fresh from the last one so proven.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from itertools import chain, combinations, product
 from operator import add, itemgetter
 from typing import Sequence
 
-from .errors import DimensionMismatchError
+from .errors import BudgetExceededError, DimensionMismatchError
 from .kernel import _kernel
 from .lattice import (
     DEFAULT_BUDGET,
@@ -278,9 +287,10 @@ def find_avoiding_coloring(
     """
     if n < 1:
         raise ValueError("box side n must be at least 1")
+    r = problem.colors
+    solve = _kernel(None, r)
     cs = build_constraints(problem, n, budget)
     d = problem.system.d
-    r = problem.colors
     num_points = n**d
     if not cs.constraints:
         return SearchOutcome(AVOIDABLE, Coloring(n, d, r, (0,) * num_points), None)
@@ -288,7 +298,6 @@ def find_avoiding_coloring(
     if len(cs.constraints[0]) == 1:
         return SearchOutcome(TRIVIALLY_UNAVOIDABLE, None, cs.decode(cs.constraints[0]))
     order = _branch_order(cs)
-    solve = _kernel(None, r)
     ok, assignment = solve(num_points, r, cs.constraints, order)
     if ok:
         return SearchOutcome(AVOIDABLE, Coloring(n, d, r, tuple(assignment)), None)
@@ -303,17 +312,67 @@ def rado_number(
     """Scan n = 1, 2, ... for the smallest unavoidable box.
 
     Avoidability is monotone (a witness restricts to smaller boxes), so the
-    first non-avoidable n is minimal.  Each n is searched fresh.
+    first non-avoidable n is minimal.  The boxes that a one-dimensional
+    search proves avoidable are skipped (``_lifted_bound``), and the scan
+    starts at the last of them, which it searches fresh: its value,
+    `searched_to` and witness are those of the scan from n = 1.  When a
+    budget refuses a box of the shortened scan, the scan from n = 1 runs,
+    so that the refusal is its refusal too.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    start = _lifted_bound(problem, max_n, budget)
+    if start > 1:
+        try:
+            return _scan(problem, start, max_n, budget)
+        except BudgetExceededError:
+            pass
+    return _scan(problem, 1, max_n, budget)
+
+
+def _scan(
+    problem: SearchProblem, start: int, max_n: int, budget: int
+) -> RadoNumberResult:
+    """Search n = start, ..., max_n fresh until a box is not avoidable."""
     last_witness = None
-    for n in range(1, max_n + 1):
+    for n in range(start, max_n + 1):
         outcome = find_avoiding_coloring(problem, n, budget)
         if outcome.status != AVOIDABLE:
             return RadoNumberResult(n, n, last_witness)
         last_witness = outcome.witness
     return RadoNumberResult(None, max_n, last_witness)
+
+
+def _lifted_bound(problem: SearchProblem, max_n: int, budget: int) -> int:
+    """The largest m <= max_n at which [1,m]^d is proven avoidable by the
+    lift, or 1 when none is.
+
+    Color each point by its i-th coordinate with a 1-d coloring that
+    leaves no masked solution of coordinate system i monochromatic (same
+    mask, no tuple filter): the i-th coordinate row of every solution tuple
+    solves system i, so no masked point set is monochromatic, with or
+    without tuple filters.  Each distinct coordinate system gives one 1-d
+    problem.  The one that last proved a box is tried first, and one that
+    fails at m fails above m too, so it is dropped.  A budget refusal ends
+    the lift.
+    """
+    if problem.system.d == 1:
+        return 1
+    live = [
+        SearchProblem(VectorSystem((s,)), problem.colors, problem.mask)
+        for s in dict.fromkeys(problem.system.coordinate_systems)
+    ]
+    bound = 1
+    try:
+        for m in range(2, max_n + 1):
+            while find_avoiding_coloring(live[0], m, budget).status != AVOIDABLE:
+                del live[0]
+                if not live:
+                    return bound
+            bound = m
+    except BudgetExceededError:
+        pass
+    return bound
 
 
 def verify_witness(

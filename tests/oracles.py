@@ -3,7 +3,9 @@
 Everything here is deliberately naive and shares no algorithmic machinery
 with the package: ranks come from determinant minors, span membership from
 rank equality, partitions from explicit enumeration, colorings from full
-(or prefix-pruned) exhaustive search.
+(or prefix-pruned) exhaustive search.  The one exception is ``plain_scan``,
+the minimal-n scan over the package's own box search, which is the
+reference for the boxes ``rado_number`` skips.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
+
+from rado.lattice import DEFAULT_BUDGET
+from rado.search import AVOIDABLE, RadoNumberResult, find_avoiding_coloring
 
 
 def det(mat):
@@ -273,3 +278,14 @@ def progressions(n):
         for delta in range(1, n)
         if x + 2 * delta <= n
     ]
+
+
+def plain_scan(problem, max_n, budget=DEFAULT_BUDGET) -> RadoNumberResult:
+    """Search every box n = 1, ..., max_n fresh until one is not avoidable."""
+    witness = None
+    for n in range(1, max_n + 1):
+        outcome = find_avoiding_coloring(problem, n, budget)
+        if outcome.status != AVOIDABLE:
+            return RadoNumberResult(n, n, witness)
+        witness = outcome.witness
+    return RadoNumberResult(None, max_n, witness)

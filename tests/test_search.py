@@ -5,7 +5,7 @@ import re
 from collections import Counter
 
 import pytest
-from oracles import naive_constraints
+from oracles import naive_constraints, plain_scan
 
 from rado.dpll import parse_dimacs, solve_cnf
 from rado.errors import BudgetExceededError, DimensionMismatchError
@@ -297,6 +297,15 @@ class TestFindAvoidingColoring:
             find_avoiding_coloring(problem, 5)
         with pytest.raises(ValueError, match=message):
             rado_number(problem, 5)
+        # x = y has a one-point constraint at n = 1, and Schur none at all:
+        # the cap does not depend on the box having a search to run
+        equal = SearchProblem(VectorSystem.from_rows([[[1, -1]]]), colors=63)
+        for p, n in ((equal, 1), (problem, 1)):
+            with pytest.raises(ValueError, match=message):
+                find_avoiding_coloring(p, n)
+        for max_n in (1, 3):
+            with pytest.raises(ValueError, match=message):
+                rado_number(equal, max_n)
 
 
 # the search tests' problems at their largest avoidable n, and one above
@@ -350,6 +359,86 @@ class TestRadoNumber:
         )
         assert base.value == 5
         assert harder.value >= base.value
+
+
+# perfbench's scan workload: rado_number up to max_n, and the number of
+# d-dimensional boxes it searches once the lift has skipped the others
+BENCH_SCANS = {
+    "flagship-r2": (MOTIV, 12, 2),
+    "non-degenerate-diagonal-schur-r2": (
+        SearchProblem(DIAG_SCHUR, colors=2, exclude_degenerate=True), 12, 4,
+    ),
+    "schur-r3": (SearchProblem(VectorSystem((SCHUR,)), colors=3), 20, None),
+    "3-ap-r3": (SearchProblem(VectorSystem((PROGRESSION,)), colors=3, mask=(0, 1, 2)), 30, None),
+    "flagship-r3": (SearchProblem(MOTIVATING, colors=3, mask=(0, 1, 2)), 12, 1),
+}
+# x = y beside a + b = c: the first coordinate's 1-d box is trivially
+# unavoidable from n = 2 on, so only the second one lifts
+EQUAL_W = ScalarSystem.from_rows([[1, -1, 0, 0]])
+# the Baseline systems, with S = a + b = c and A = a 3-AP, under mask 0,1,2
+LIFT_SYSTEMS = {
+    "S,S": (SCHUR_W, SCHUR_W),
+    "S,A": (SCHUR_W, PROGRESSION),
+    "A,S": (PROGRESSION, SCHUR_W),
+    "A,A": (PROGRESSION, PROGRESSION),
+    "S,A,S": (SCHUR_W, PROGRESSION, SCHUR_W),
+    "A,A,A": (PROGRESSION, PROGRESSION, PROGRESSION),
+    "E,S": (EQUAL_W, SCHUR_W),
+    "E,E": (EQUAL_W, EQUAL_W),
+}
+# the 1-d values are 5 (S) and 9 (A) at r=2, 14 and 27 at r=3: max_n runs
+# below, at and above the largest m at which a 1-d box is avoidable
+LIFT_MAX_N = {2: (1, 3, 8, 11), 3: (1, 3, 6)}
+
+
+@pytest.mark.parametrize("label", BENCH_SCANS)
+def test_bench_scans_match_plain_scan(label):
+    problem, max_n, _ = BENCH_SCANS[label]
+    assert rado_number(problem, max_n) == plain_scan(problem, max_n)
+
+
+@pytest.mark.parametrize("exclude_degenerate", [False, True], ids=["all", "non-degenerate"])
+@pytest.mark.parametrize(
+    "colors, max_n",
+    [(r, m) for r, ms in LIFT_MAX_N.items() for m in ms],
+    ids=[f"r{r}-max{m}" for r, ms in LIFT_MAX_N.items() for m in ms],
+)
+@pytest.mark.parametrize("label", LIFT_SYSTEMS)
+def test_lifted_scan_matches_plain_scan(label, colors, max_n, exclude_degenerate):
+    problem = SearchProblem(
+        VectorSystem(LIFT_SYSTEMS[label]), colors=colors, mask=(0, 1, 2),
+        exclude_degenerate=exclude_degenerate,
+    )
+    assert rado_number(problem, max_n) == plain_scan(problem, max_n)
+
+
+@pytest.mark.parametrize("label", [k for k, v in BENCH_SCANS.items() if v[2]])
+def test_lift_skips_bench_boxes(label, monkeypatch):
+    problem, max_n, boxes = BENCH_SCANS[label]
+    searched = []
+    find = find_avoiding_coloring
+
+    def counted(p, n, budget):
+        if p.system.d > 1:
+            searched.append(n)
+        return find(p, n, budget)
+
+    monkeypatch.setattr("rado.search.find_avoiding_coloring", counted)
+    result = rado_number(problem, max_n)
+    assert len(searched) == boxes
+    assert searched == list(range(searched[0], result.searched_to + 1))
+
+
+def test_lifted_scan_refuses_as_plain_scan():
+    # the lift proves boxes up to 12 from the 3-AP coordinate; the plain scan
+    # refuses box 8 by its product of coordinate lists, and box 12's product
+    # is larger still
+    problem = SearchProblem(MOTIVATING, colors=3, mask=(0, 1, 2))
+    message = "enumeration refused: 2688 candidate cells exceed the budget of 2000"
+    with pytest.raises(BudgetExceededError, match="^" + re.escape(message) + "$"):
+        plain_scan(problem, 12, 2000)
+    with pytest.raises(BudgetExceededError, match="^" + re.escape(message) + "$"):
+        rado_number(problem, 12, 2000)
 
 
 class TestVerifyWitness:
