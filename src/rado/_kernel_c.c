@@ -2,15 +2,20 @@
 
    Mirrors _kernel_py.solve decision for decision; see that module for the
    algorithm.  Both must stay in lockstep so that status and assignment do
-   not depend on the backend.  The arguments are validated once, by
-   kernel.solve_avoidability (colors in 1..62, every point index in
-   [0, num_points)); this module trusts them.
+   not depend on the backend.  This module trusts its arguments:
+   kernel._kernel checks that colors is in 1..62, and every point index
+   lies in [0, num_points) by the check of the public dispatcher,
+   kernel.solve_avoidability, or by construction when
+   search.find_avoiding_coloring calls the kernel.
 
    Constraints are stored CSR-style: constraint i is
    con_data[con_off[i] .. con_off[i+1]), and the constraints containing
    point q are adj_data[adj_off[q] .. adj_off[q+1]), in increasing order.
-   Both kernels test a constraint the same way (assign below) and differ
-   only in how they restore state: _kernel_py snapshots it per branch point,
+   When a point is colored h, both kernels reach the same verdict on each of
+   its constraints in the same order: assign() below counts the constraint's
+   points not colored h, stopping at two, while _kernel_py skips a constraint
+   with no other point colored h and intersects bitsets for the rest.  They
+   restore state differently: _kernel_py snapshots it per branch point,
    while here every assignment and every forbidden color bit is trailed, so
    undo() restores the state exactly.  The DFS polls for signals every
    SIGNAL_CHECK_MASK + 1 calls, so Ctrl-C stops a long search. */
@@ -147,7 +152,7 @@ popcount64(u64 x)
 }
 
 /* Color point with g and propagate; 0 on a conflict.  Each constraint of a
-   newly colored point q is tested as in _kernel_py: its points not colored
+   newly colored point q gets _kernel_py's verdict: its points not colored
    h are counted, stopping at two.  None means a monochromatic constraint;
    one that is still uncolored has h forbidden. */
 static int

@@ -5,7 +5,9 @@ colors so that no constraint (a set of point indices) is monochromatic.
 This is the reference implementation; the compiled twin, the hand-written
 C extension ``_kernel_c``, must follow the identical decision sequence so
 that both return the same status and, on success, the same assignment.
-Arguments are validated once, by ``kernel.solve_avoidability``.
+Arguments are trusted: ``kernel._kernel`` checks the color count, and the
+point indices are in range by the public dispatcher's check or by the build
+(see ``kernel``).
 
 Algorithm: depth-first search over the supplied branching order with
 

@@ -8,16 +8,35 @@ weighted by the number of full rows that restrict to it
 (``_masked_solutions``).  Unmasked dummy columns are thus counted, not
 listed.  The full mask gives the solution rows themselves, and the empty
 mask only their number.  Solution tuples are the Cartesian product of the
-coordinate lists, which the build and the counts read without walking it.
-Every enumeration is guarded by a candidate budget so oversized requests
-fail fast instead of running for hours.
+coordinate lists (``_coordinate_solutions``), which the build and the
+counts read without walking it.  Every enumeration is guarded by a
+candidate budget, which also bounds the product, so oversized requests fail
+fast instead of running for hours.
 
 Degeneracy: a point set is degenerate when all its points have the same
 primitive form (point divided by the gcd of its coordinates), i.e. lie on
 one ray.  Read by coordinates, k points p_j = m_j * v are degenerate exactly
 when all their coordinate rows (p_1[i], ..., p_k[i]) = v[i] * (m_1, ..., m_k)
 have the same primitive form, so the tuple counts and the constraint build
-work per coordinate list instead of per tuple.
+group each coordinate list by form (``_by_form``) instead of testing tuples.
+
+Projection (``_point_sets``) turns the product into the masked point sets
+that the search's constraints are made of, working on point indices
+directly: every masked row is turned once into its contributions to the
+masked points' lexicographic indices (``_index_contributions``), and a
+tuple's index set is the sum of its rows' contributions.  The contributions
+of all coordinate lists but the last are summed once into distinct base
+sums (``_base_sums``, shared with ``count_monochromatic``), and each set is
+a base plus one row of the last list, kept as a sorted tuple of distinct
+indices.  A base's values are base-n digits above the last coordinate, so
+multiples of n, while a last-list contribution lies below n: when a base's
+values are pairwise distinct, its argsort orders every set built on it, and
+only the sets on a tied base are sorted one by one.  A base is exactly one
+combination of outer rows, so it has at most one form f, and the
+degeneracy filter cuts the last list's rows of form f out of the bases whose
+outer rows all have form f; in one dimension every tuple is degenerate and
+nothing is built.  No set is built and then removed, and no set is decoded
+into points.
 """
 
 from __future__ import annotations
@@ -62,19 +81,11 @@ def index_point(idx: int, n: int, d: int) -> Point:
     return tuple(reversed(coords))
 
 
-def box_points(n: int, d: int) -> Iterator[Point]:
-    """All points of [1,n]^d in lexicographic order."""
-    return product(range(1, n + 1), repeat=d)
-
-
 @dataclass(frozen=True)
 class SolutionTuple:
     """k points whose coordinate rows satisfy the per-coordinate systems."""
 
     points: tuple[Point, ...]
-
-    def coordinate_row(self, i: int) -> tuple[int, ...]:
-        return tuple(p[i] for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -108,9 +119,6 @@ class Coloring:
     def constant(cls, n: int, d: int, r: int = 1, color: int = 0) -> "Coloring":
         return cls(n, d, r, (color,) * n**d)
 
-    def color_of(self, point: Point) -> int:
-        return self.colors[point_index(point, self.n)]
-
 
 @dataclass(frozen=True)
 class DegeneracyReport:
@@ -126,11 +134,11 @@ def _primitive(point: Point) -> Point:
     return tuple(c // g for c in point)
 
 
-def _rows_by_form(rows: Rows) -> dict[tuple[int, ...], Rows]:
-    """The masked rows of one coordinate list, grouped by their primitive form."""
-    groups: dict[tuple[int, ...], Rows] = defaultdict(dict)
-    for row, w in rows.items():
-        groups[_primitive(row)][row] = w
+def _by_form(rows: Iterable[tuple[int, ...]], values: Iterable) -> dict[tuple[int, ...], list]:
+    """The values, paired in order with the rows, grouped by their row's form."""
+    groups: dict[tuple[int, ...], list] = defaultdict(list)
+    for row, value in zip(rows, values):
+        groups[_primitive(row)].append(value)
     return groups
 
 
@@ -260,7 +268,11 @@ def enumerate_scalar_solutions(
 def _coordinate_solutions(
     system: VectorSystem, n: int, mask: tuple[int, ...], budget: int
 ) -> list[Rows]:
-    """Per-coordinate weighted masked rows, computing identical matrices once."""
+    """Per-coordinate weighted masked rows, computing identical matrices once.
+
+    Their tuple product is refused beyond the budget too, whether or not the
+    caller walks it.
+    """
     cache: dict[tuple[tuple[int, ...], ...], Rows] = {}
     lists = []
     for s in system.coordinate_systems:
@@ -269,14 +281,10 @@ def _coordinate_solutions(
             hit = _masked_solutions(s, n, mask, budget)
             cache[s.coeffs] = hit
         lists.append(hit)
-    return lists
-
-
-def _check_product_budget(lists: list[Rows], budget: int) -> None:
-    """Refuse a tuple product of the per-coordinate lists beyond the budget."""
     total = prod(sum(rows.values()) for rows in lists)
     if total > budget:
         raise BudgetExceededError(total, budget)
+    return lists
 
 
 def _index_contributions(lists: list[Rows], n: int) -> list[Rows]:
@@ -312,6 +320,60 @@ def _base_sums(outer: list[Rows], width: int) -> Counter[tuple[int, ...]]:
     return bases
 
 
+def _point_sets(
+    system: VectorSystem,
+    n: int,
+    mask: tuple[int, ...],
+    budget: int,
+    exclude_degenerate: bool,
+) -> set[tuple[int, ...]]:
+    """Distinct masked point-index sets of the solution tuples in [1,n]^d,
+    as sorted tuples (see the module docstring).
+
+    A set is a base plus one row of the last list, summed column by column,
+    in the argsort order of the base; only sets on a tied base (one
+    dimension, or masked points that share their leading coordinates) are
+    sorted one by one.  With `exclude_degenerate`, the last list's
+    contributions are ordered by their rows' forms, so the degenerate tuples
+    on a base of one form f are those completed by one span [lo, hi) of
+    them, which that base skips.
+    """
+    lists = _coordinate_solutions(system, n, mask, budget)
+    sets: set[tuple[int, ...]] = set()
+    if exclude_degenerate and len(lists) == 1:
+        return sets
+    width = len(mask)
+    contributions = _index_contributions(lists, n)
+    *outer, last = contributions
+    if not last:
+        return sets
+    spans = {}
+    if exclude_degenerate:
+        # a form's bases are the sums of one same-form contribution per outer list
+        *outer_forms, last_forms = map(_by_form, lists, contributions)
+        last = []
+        for form, contribs in last_forms.items():
+            span = (len(last), len(last) + len(contribs))
+            last += contribs
+            if all(form in groups for groups in outer_forms):
+                bases = [(0,) * width]
+                for groups in outer_forms:
+                    bases = {tuple(map(add, b, c)) for b in bases for c in groups[form]}
+                spans.update(dict.fromkeys(bases, span))
+    columns = list(zip(*last))
+    for base in _base_sums(outer, width):
+        cols = columns
+        if base in spans:
+            lo, hi = spans[base]
+            cols = [c[:lo] + c[hi:] for c in columns]
+        order = sorted(range(width), key=base.__getitem__)
+        sums = zip(*[map(base[j].__add__, cols[j]) for j in order])
+        if len(set(base)) < width:
+            sums = map(tuple, map(sorted, map(set, sums)))
+        sets.update(sums)
+    return sets
+
+
 def enumerate_vector_solutions(
     system: VectorSystem, n: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[SolutionTuple]:
@@ -320,7 +382,6 @@ def enumerate_vector_solutions(
     Order is deterministic: lexicographic in the tuple of coordinate rows.
     """
     lists = _coordinate_solutions(system, n, tuple(range(system.k)), budget)
-    _check_product_budget(lists, budget)
     for rows in product(*map(sorted, lists)):
         yield SolutionTuple(tuple(zip(*rows)))
 
@@ -329,10 +390,12 @@ def count_solutions(system: VectorSystem, n: int, budget: int = DEFAULT_BUDGET) 
     """|enumerate_vector_solutions| without materializing the product.
 
     With the empty mask every coordinate's solutions share one masked row,
-    whose weight is their number.
+    whose weight is their number.  The product is counted, not refused.
     """
-    lists = _coordinate_solutions(system, n, (), budget)
-    return prod(sum(rows.values()) for rows in lists)
+    return prod(
+        sum(_masked_solutions(s, n, (), budget).values())
+        for s in system.coordinate_systems
+    )
 
 
 def _resolve_mask(mask: Iterable[int] | None, k: int) -> tuple[int, ...]:
@@ -356,18 +419,17 @@ def count_degenerate(
 
     A tuple is degenerate exactly when its coordinate rows, restricted to the
     mask, all have the same primitive form (see the module docstring).  Each
-    coordinate list is grouped by that form (``_rows_by_form``, which the
-    build's degeneracy filter shares), and the count is the sum over forms of
-    the product of the lists' group sizes: linear in the list lengths,
-    without walking the tuple product (whose size the budget still bounds).
-    In one dimension every tuple counts.
+    coordinate list's weights are grouped by that form (``_by_form``, which
+    the build's degeneracy filter shares), and the count is the sum over
+    forms of the product of the lists' group weights: linear in the list
+    lengths, without walking the tuple product (whose size the budget still
+    bounds).  In one dimension every tuple counts.
     """
     mask = _resolve_mask(mask, system.k)
     lists = _coordinate_solutions(system, n, mask, budget)
-    _check_product_budget(lists, budget)
-    grouped = [_rows_by_form(rows) for rows in lists]
+    grouped = [_by_form(rows, rows.values()) for rows in lists]
     forms = set(grouped[0]).intersection(*grouped[1:])
-    return sum(prod(sum(g[form].values()) for g in grouped) for form in forms)
+    return sum(prod(sum(g[form]) for g in grouped) for form in forms)
 
 
 def count_monochromatic(
@@ -395,7 +457,6 @@ def count_monochromatic(
     mask = _resolve_mask(mask, system.k)
     n = coloring.n
     lists = _coordinate_solutions(system, n, mask, budget)
-    _check_product_budget(lists, budget)
     *outer, last = _index_contributions(lists, n)
     classes: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     for parts, w in last.items():

@@ -5,32 +5,15 @@ points that must share a color, and optional tuple filters (exclude
 degenerate masked sets, require the masked points pairwise distinct).
 Constraints are the masked point sets of the solution tuples (so a
 constraint exists as soon as SOME assignment of the unmasked dummy variables
-completes it).  Each coordinate's solutions arrive as distinct masked rows
-(``lattice._masked_solutions``), so rows that differ only in unmasked columns
-are already one.  Projection works on point indices directly: every masked
-row is turned once into its contributions to the masked points'
-lexicographic indices (``lattice._index_contributions``), and a tuple's
-index set is the sum of its rows' contributions.  The contributions of all
-coordinate lists but the last are summed once into distinct base sums
-(``lattice._base_sums``, shared with ``count_monochromatic``), and each set
-is a base plus one row of the last list, kept as a sorted tuple of distinct
-indices.  A base's values are base-n digits above the last coordinate, so
-multiples of n, while a last-list contribution lies below n: when a base's
-values are pairwise distinct, its argsort orders every set built on it, and
-only the sets on a tied base are sorted one by one.  A base is exactly one
-combination of outer rows.  A tuple is degenerate exactly when its masked
-coordinate rows share one primitive form (see ``lattice``), so the
-degeneracy filter orders the last list's rows by form, finds the bases
-whose outer rows all have one form f and cuts the span of form f out of the
-last list's columns on them; in one dimension every tuple is degenerate and
-nothing is built.  No set is built and then removed, and no set is decoded
-into points.  A set that contains another set is dropped, because a
-coloring that splits the smaller set also splits the larger one; a set is
-found dominated by looking up each of its subsets, of every smaller size
-that occurs, among the built sets (nothing is dominated when all sets have
-one size).  The kept sets are ordered by size, then lexicographically: each
-size's sets take one stable sort per column, last column first, so the
-sorts compare ints rather than tuples.
+completes it), as ``lattice._point_sets`` projects them: sorted tuples of
+distinct point indices, the degenerate ones left out under that filter.  A
+set that contains another set is dropped, because a coloring that splits
+the smaller set also splits the larger one; a set is found dominated by
+looking up each of its subsets, of every smaller size that occurs, among
+the built sets (nothing is dominated when all sets have one size).  The
+kept sets are ordered by size, then lexicographically: each size's sets
+take one stable sort per column, last column first, so the sorts compare
+ints rather than tuples.
 
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
@@ -55,10 +38,10 @@ d-dimensional boxes fresh from the last one so proven.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -67,12 +50,7 @@ from .lattice import (
     DEFAULT_BUDGET,
     Coloring,
     Point,
-    Rows,
-    _base_sums,
-    _check_product_budget,
-    _coordinate_solutions,
-    _index_contributions,
-    _primitive,
+    _point_sets,
     _resolve_mask,
     count_monochromatic,
     index_point,
@@ -149,14 +127,11 @@ def build_constraints(
     problem: SearchProblem, n: int, budget: int = DEFAULT_BUDGET
 ) -> ConstraintSet:
     """Masked point sets of all filtered solution tuples in [1,n]^d."""
-    system = problem.system
-    d = system.d
+    d = problem.system.d
     mask = problem.mask
     if n < 1:
         return ConstraintSet(n, d, ())
-    lists = _coordinate_solutions(system, n, mask, budget)
-    _check_product_budget(lists, budget)
-    seen = _index_sets(lists, len(mask), n, problem.exclude_degenerate)
+    seen = _point_sets(problem.system, n, mask, budget, problem.exclude_degenerate)
     if problem.require_distinct:
         seen = {s for s in seen if len(s) == len(mask)}
     # a set is dominated when it properly contains another set; its minimal
@@ -181,80 +156,6 @@ def build_constraints(
         for j in reversed(range(m)):
             group.sort(key=itemgetter(j))
     return ConstraintSet(n, d, tuple(chain.from_iterable(groups)))
-
-
-def _index_sets(
-    lists: list[Rows], width: int, n: int, exclude_degenerate: bool
-) -> set[tuple[int, ...]]:
-    """Distinct masked point-index sets of the tuple product, as sorted tuples.
-
-    A set is a base plus one row of the last list, summed column by column.
-    A base's values are multiples of n and a last-list contribution lies
-    below n, so when the base's values are pairwise distinct, the argsort of
-    the base orders every set built on it: the columns are summed in that
-    order.  Only sets on a tied base (one dimension, or masked points that
-    share their leading coordinates) are sorted one by one.  With
-    `exclude_degenerate`, a base of same-form outer rows skips the span of
-    the last list's rows of that form (``_degenerate_rows``); in one
-    dimension every tuple is degenerate, so there is no set.
-    """
-    sets: set[tuple[int, ...]] = set()
-    if exclude_degenerate and len(lists) == 1:
-        return sets
-    contributions = _index_contributions(lists, n)
-    *outer, last = contributions
-    if not last:
-        return sets
-    spans = {}
-    if exclude_degenerate:
-        last, spans = _degenerate_rows(lists, contributions, width)
-    columns = list(zip(*last))
-    for base in _base_sums(outer, width):
-        cols = columns
-        if base in spans:
-            lo, hi = spans[base]
-            cols = [c[:lo] + c[hi:] for c in columns]
-        order = sorted(range(width), key=base.__getitem__)
-        sums = zip(*[map(base[j].__add__, cols[j]) for j in order])
-        if len(set(base)) < width:
-            sums = map(tuple, map(sorted, map(set, sums)))
-        sets.update(sums)
-    return sets
-
-
-def _degenerate_rows(
-    lists: list[Rows], contributions: list[Rows], width: int
-) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], tuple[int, int]]]:
-    """The last list's contributions ordered by form, and each degenerate
-    base's span of them.
-
-    A tuple is degenerate exactly when its masked rows share one primitive
-    form.  In two or more dimensions a base is one combination of outer
-    rows, so it has at most one form f, and its degenerate tuples are those
-    completed by the last list's rows of form f: one contiguous span
-    [lo, hi) of the ordered contributions.  Each list's contributions are
-    grouped by their rows' forms in one pass; a form's bases are the sums of
-    one grouped contribution per outer list.
-    """
-    grouped = []
-    for rows, contribs in zip(lists, contributions):
-        groups = defaultdict(list)
-        for row, c in zip(rows, contribs):
-            groups[_primitive(row)].append(c)
-        grouped.append(groups)
-    *outer, last = grouped
-    ordered: list[tuple[int, ...]] = []
-    span = {}
-    for form, contribs in last.items():
-        span[form] = (len(ordered), len(ordered) + len(contribs))
-        ordered += contribs
-    spans = {}
-    for form in set(last).intersection(*outer):
-        bases = [(0,) * width]
-        for groups in outer:
-            bases = {tuple(map(add, b, c)) for b in bases for c in groups[form]}
-        spans.update(dict.fromkeys(bases, span[form]))
-    return ordered, spans
 
 
 def _branch_order(cs: ConstraintSet) -> list[int]:
@@ -352,24 +253,18 @@ def _lifted_bound(problem: SearchProblem, max_n: int, budget: int) -> int:
     mask, no tuple filter): the i-th coordinate row of every solution tuple
     solves system i, so no masked point set is monochromatic, with or
     without tuple filters.  Each distinct coordinate system gives one 1-d
-    problem.  The one that last proved a box is tried first, and one that
-    fails at m fails above m too, so it is dropped.  A budget refusal ends
-    the lift.
+    problem, scanned from the box after the last one proven: avoidability is
+    monotone, so the box at which one fails is the next one's to try.  A
+    budget refusal ends the lift.
     """
     if problem.system.d == 1:
         return 1
-    live = [
-        SearchProblem(VectorSystem((s,)), problem.colors, problem.mask)
-        for s in dict.fromkeys(problem.system.coordinate_systems)
-    ]
     bound = 1
     try:
-        for m in range(2, max_n + 1):
-            while find_avoiding_coloring(live[0], m, budget).status != AVOIDABLE:
-                del live[0]
-                if not live:
-                    return bound
-            bound = m
+        for s in dict.fromkeys(problem.system.coordinate_systems):
+            lifted = SearchProblem(VectorSystem((s,)), problem.colors, problem.mask)
+            value = _scan(lifted, bound + 1, max_n, budget).value
+            bound = max_n if value is None else value - 1
     except BudgetExceededError:
         pass
     return bound

@@ -3,7 +3,7 @@ import math
 import random
 import time
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from rado.lattice import (
     DEFAULT_BUDGET,
     Coloring,
     _masked_solutions,
-    box_points,
     count_degenerate,
     count_monochromatic,
     count_solutions,
@@ -49,7 +48,7 @@ TIED_DUMMY = VectorSystem.from_rows([[[1, 1, -1, 0], [2, 0, 0, -1]], [[1, 1, -1,
 
 class TestPointIndexing:
     def test_lexicographic_order(self):
-        pts = list(box_points(3, 2))
+        pts = list(product(range(1, 4), repeat=2))
         assert pts[0] == (1, 1)
         assert pts[1] == (1, 2)
         assert pts[3] == (2, 1)
@@ -182,12 +181,12 @@ class TestEnumerateVector:
         # one progression row, nine Schur rows (dummy variable free in [1,3])
         assert len(sols) == 9
         for sol in sols:
-            assert sol.coordinate_row(1) == (1, 2, 3, 1)
+            assert tuple(zip(*sol.points))[1] == (1, 2, 3, 1)
 
     def test_d1_matches_scalar(self):
         scalar = enumerate_scalar_solutions(SCHUR, 4)
         vector = [
-            s.coordinate_row(0)
+            tuple(zip(*s.points))[0]
             for s in enumerate_vector_solutions(VectorSystem((SCHUR,)), 4)
         ]
         assert vector == scalar
@@ -200,7 +199,7 @@ class TestEnumerateVector:
             rows = [s.coeffs for s in system.coordinate_systems]
             expected = sorted(naive_vector_solutions(rows, n))
             got = sorted(
-                tuple(sol.coordinate_row(i) for i in range(system.d))
+                tuple(zip(*sol.points))
                 for sol in enumerate_vector_solutions(system, n)
             )
             assert got == expected
@@ -209,8 +208,7 @@ class TestEnumerateVector:
         first = [s.points for s in enumerate_vector_solutions(DIAG_SCHUR, 4)]
         second = [s.points for s in enumerate_vector_solutions(DIAG_SCHUR, 4)]
         assert first == second
-        rows = [tuple(s.coordinate_row(i) for i in range(2)) for s in
-                enumerate_vector_solutions(DIAG_SCHUR, 4)]
+        rows = [tuple(zip(*s.points)) for s in enumerate_vector_solutions(DIAG_SCHUR, 4)]
         assert rows == sorted(rows)
 
 
@@ -365,6 +363,12 @@ def test_tuple_product_budget_refusal(call):
     assert exc.value.projected == 45**2
 
 
+def test_tuple_product_counted_beyond_budget():
+    # the count reads each coordinate's number of solutions, so a product
+    # above the budget is counted, not refused
+    assert count_solutions(DIAG_SCHUR, 10, 1000) == 45**2
+
+
 class TestDegeneracy:
     def test_scaled_points(self):
         report = is_degenerate([(1, 2), (2, 4), (3, 6)])
@@ -429,9 +433,9 @@ class TestColoringFiles:
     def test_documented_order(self):
         text = '{"n": 2, "d": 2, "r": 2, "colors": [0, 1, 1, 0]}'
         coloring = parse_coloring(text)
-        assert coloring.color_of((1, 1)) == 0
-        assert coloring.color_of((1, 2)) == 1
-        assert coloring.color_of((2, 1)) == 1
+        assert coloring.colors[point_index((1, 1), 2)] == 0
+        assert coloring.colors[point_index((1, 2), 2)] == 1
+        assert coloring.colors[point_index((2, 1), 2)] == 1
 
     def test_length_validation(self):
         with pytest.raises(SystemFormatError):

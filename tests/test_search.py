@@ -439,6 +439,14 @@ def test_lifted_scan_refuses_as_plain_scan():
         plain_scan(problem, 12, 2000)
     with pytest.raises(BudgetExceededError, match="^" + re.escape(message) + "$"):
         rado_number(problem, 12, 2000)
+    # here the lift itself is refused: at budget 100 the sum coordinate's
+    # box 5 has 125 cells, and the scans must still refuse as the plain one
+    for colors, budget in itertools.product((2, 3), (30, 100, 300, 1000)):
+        problem = SearchProblem(MOTIVATING, colors=colors, mask=(0, 1, 2))
+        with pytest.raises(BudgetExceededError) as plain:
+            plain_scan(problem, 12, budget)
+        with pytest.raises(BudgetExceededError, match="^" + re.escape(str(plain.value)) + "$"):
+            rado_number(problem, 12, budget)
 
 
 class TestVerifyWitness:
