@@ -245,6 +245,8 @@ def cmd_check_columns(system_path, limit):
 @emits
 def cmd_enumerate(system_path, box, head, budget):
     """List solution tuples in [1,n]^d (points as columns)."""
+    if head < 0:
+        raise ValueError(f"--head must be at least 0, got {head}")
     system = parse_system(_read(system_path))
     tuples = []
     for i, sol in enumerate(enumerate_vector_solutions(system, box, budget)):
@@ -275,11 +277,13 @@ def cmd_enumerate(system_path, box, head, budget):
 def cmd_count(system_path, box, count_deg, mask, coloring_path, budget):
     """Count solution tuples in [1,n]^d."""
     system = parse_system(_read(system_path))
+    coloring = parse_coloring(_read(coloring_path)) if coloring_path else None
+    if coloring is not None and coloring.n != box:
+        raise ValueError(f"coloring box side {coloring.n} does not match -n {box}")
     doc = {"n": box, "total": count_solutions(system, box, budget)}
     if count_deg:
         doc["degenerate"] = count_degenerate(system, box, mask, budget)
-    if coloring_path:
-        coloring = parse_coloring(_read(coloring_path))
+    if coloring is not None:
         doc["monochromatic"] = count_monochromatic(system, coloring, mask, budget)
     text = " ".join(f"{key}={doc[key]}" for key in doc if key != "n")
     return doc, text, 0

@@ -33,7 +33,9 @@ avoidable.  A 1-d coloring that avoids coordinate system i, applied to
 every point's i-th coordinate, avoids the d-dimensional problem (the lift),
 so in two or more dimensions the scan first searches each distinct
 coordinate system alone, without tuple filters, and then searches the
-d-dimensional boxes fresh from the last one so proven.
+d-dimensional boxes fresh from the last one so proven.  When the budget
+refuses a box of that scan, the skipped boxes are enumerated, not searched,
+to report the first refused box from n = 1 on.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .lattice import (
     DEFAULT_BUDGET,
     Coloring,
     Point,
+    _coordinate_solutions,
     _point_sets,
     _resolve_mask,
     count_monochromatic,
@@ -213,22 +216,38 @@ def rado_number(
     """Scan n = 1, 2, ... for the smallest unavoidable box.
 
     Avoidability is monotone (a witness restricts to smaller boxes), so the
-    first non-avoidable n is minimal.  The boxes that a one-dimensional
-    search proves avoidable are skipped (``_lifted_bound``), and the scan
-    starts at the last of them, which it searches fresh: its value,
-    `searched_to` and witness are those of the scan from n = 1.  When a
-    budget refuses a box of the shortened scan, the scan from n = 1 runs,
-    so that the refusal is its refusal too.
+    first non-avoidable n is minimal.  The scan skips the boxes that the
+    lift proves avoidable: color each point by its i-th coordinate with a
+    1-d coloring that leaves no masked solution of coordinate system i
+    monochromatic (same mask, no tuple filter); the i-th coordinate row of
+    every solution tuple solves system i, so no masked point set is
+    monochromatic, with or without tuple filters.  Each distinct coordinate
+    system is scanned from the box after the last one proven, and a budget
+    refusal ends the lift.  The d-dimensional scan starts at the last proven
+    box, which it searches fresh, so its value, `searched_to`, witness and
+    budget refusal are those of the scan from n = 1.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    start = _lifted_bound(problem, max_n, budget)
-    if start > 1:
+    start = 1
+    if problem.system.d > 1:
         try:
-            return _scan(problem, start, max_n, budget)
+            for s in dict.fromkeys(problem.system.coordinate_systems):
+                lifted = SearchProblem(VectorSystem((s,)), problem.colors, problem.mask)
+                value = _scan(lifted, start + 1, max_n, budget).value
+                start = max_n if value is None else value - 1
         except BudgetExceededError:
             pass
-    return _scan(problem, 1, max_n, budget)
+    try:
+        return _scan(problem, start, max_n, budget)
+    except BudgetExceededError:
+        # a box is refused only in _coordinate_solutions, by its n**f grid
+        # cells or its tuple product, and both are non-decreasing in n: the
+        # refused boxes are those from some n0 on, so the scan from n = 1
+        # raises the first refusal among the skipped boxes, or else this one
+        for n in range(1, start):
+            _coordinate_solutions(problem.system, n, problem.mask, budget)
+        raise
 
 
 def _scan(
@@ -242,32 +261,6 @@ def _scan(
             return RadoNumberResult(n, n, last_witness)
         last_witness = outcome.witness
     return RadoNumberResult(None, max_n, last_witness)
-
-
-def _lifted_bound(problem: SearchProblem, max_n: int, budget: int) -> int:
-    """The largest m <= max_n at which [1,m]^d is proven avoidable by the
-    lift, or 1 when none is.
-
-    Color each point by its i-th coordinate with a 1-d coloring that
-    leaves no masked solution of coordinate system i monochromatic (same
-    mask, no tuple filter): the i-th coordinate row of every solution tuple
-    solves system i, so no masked point set is monochromatic, with or
-    without tuple filters.  Each distinct coordinate system gives one 1-d
-    problem, scanned from the box after the last one proven: avoidability is
-    monotone, so the box at which one fails is the next one's to try.  A
-    budget refusal ends the lift.
-    """
-    if problem.system.d == 1:
-        return 1
-    bound = 1
-    try:
-        for s in dict.fromkeys(problem.system.coordinate_systems):
-            lifted = SearchProblem(VectorSystem((s,)), problem.colors, problem.mask)
-            value = _scan(lifted, bound + 1, max_n, budget).value
-            bound = max_n if value is None else value - 1
-    except BudgetExceededError:
-        pass
-    return bound
 
 
 def verify_witness(

@@ -86,6 +86,13 @@ class TestEnumerateAndCount:
         assert doc["total"] == 3
         assert [[1], [1], [2]] in doc["solutions"]
 
+    def test_enumerate_negative_head_is_input_error(self, runner, system_files):
+        result = runner.invoke(
+            main, ["enumerate", "-f", system_files["schur"], "-n", "3", "--head", "-1"]
+        )
+        assert result.exit_code == 2
+        assert result.output == "error: --head must be at least 0, got -1\n"
+
     def test_count_with_degenerate(self, runner, system_files):
         result = runner.invoke(
             main,
@@ -114,6 +121,16 @@ class TestEnumerateAndCount:
         )
         doc = json.loads(result.output)
         assert doc["monochromatic"] == [3, 0]
+
+    def test_count_coloring_of_another_box_is_input_error(self, runner, system_files, tmp_path):
+        coloring = tmp_path / "c.json"
+        coloring.write_text(serialize_coloring(Coloring.constant(8, 2, r=2)))
+        result = runner.invoke(
+            main,
+            ["count", "-f", system_files["motivating"], "-n", "20", "--coloring", str(coloring)],
+        )
+        assert result.exit_code == 2
+        assert result.output == "error: coloring box side 8 does not match -n 20\n"
 
     def test_count_readme_example_pinned(self, runner, system_files):
         result = runner.invoke(

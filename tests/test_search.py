@@ -412,9 +412,9 @@ def test_lifted_scan_matches_plain_scan(label, colors, max_n, exclude_degenerate
     assert rado_number(problem, max_n) == plain_scan(problem, max_n)
 
 
-@pytest.mark.parametrize("label", [k for k, v in BENCH_SCANS.items() if v[2]])
-def test_lift_skips_bench_boxes(label, monkeypatch):
-    problem, max_n, boxes = BENCH_SCANS[label]
+@pytest.fixture()
+def searched_boxes(monkeypatch):
+    """The d-dimensional boxes that rado.search searches, in call order."""
     searched = []
     find = find_avoiding_coloring
 
@@ -424,12 +424,18 @@ def test_lift_skips_bench_boxes(label, monkeypatch):
         return find(p, n, budget)
 
     monkeypatch.setattr("rado.search.find_avoiding_coloring", counted)
+    return searched
+
+
+@pytest.mark.parametrize("label", [k for k, v in BENCH_SCANS.items() if v[2]])
+def test_lift_skips_bench_boxes(label, searched_boxes):
+    problem, max_n, boxes = BENCH_SCANS[label]
     result = rado_number(problem, max_n)
-    assert len(searched) == boxes
-    assert searched == list(range(searched[0], result.searched_to + 1))
+    assert len(searched_boxes) == boxes
+    assert searched_boxes == list(range(searched_boxes[0], result.searched_to + 1))
 
 
-def test_lifted_scan_refuses_as_plain_scan():
+def test_lifted_scan_refuses_as_plain_scan(searched_boxes):
     # the lift proves boxes up to 12 from the 3-AP coordinate; the plain scan
     # refuses box 8 by its product of coordinate lists, and box 12's product
     # is larger still
@@ -439,14 +445,30 @@ def test_lifted_scan_refuses_as_plain_scan():
         plain_scan(problem, 12, 2000)
     with pytest.raises(BudgetExceededError, match="^" + re.escape(message) + "$"):
         rado_number(problem, 12, 2000)
+    # box 12 is the only one searched: box 8's refusal is read from its
+    # enumeration, not from a search of boxes 1 to 8
+    assert searched_boxes == [12]
+    # (A,S): the lift proves boxes up to 8, and the plain scan refuses box 7
+    searched_boxes.clear()
+    problem = SearchProblem(VectorSystem((PROGRESSION, SCHUR_W)), colors=2, mask=(0, 1, 2))
+    message = "enumeration refused: 1323 candidate cells exceed the budget of 1000"
+    with pytest.raises(BudgetExceededError, match="^" + re.escape(message) + "$"):
+        plain_scan(problem, 12, 1000)
+    with pytest.raises(BudgetExceededError, match="^" + re.escape(message) + "$"):
+        rado_number(problem, 12, 1000)
+    assert searched_boxes == [8]
     # here the lift itself is refused: at budget 100 the sum coordinate's
     # box 5 has 125 cells, and the scans must still refuse as the plain one
     for colors, budget in itertools.product((2, 3), (30, 100, 300, 1000)):
+        searched_boxes.clear()
         problem = SearchProblem(MOTIVATING, colors=colors, mask=(0, 1, 2))
         with pytest.raises(BudgetExceededError) as plain:
             plain_scan(problem, 12, budget)
         with pytest.raises(BudgetExceededError, match="^" + re.escape(str(plain.value)) + "$"):
             rado_number(problem, 12, budget)
+        if (colors, budget) == (2, 100):
+            # nothing is lifted, so the d-dimensional scan starts at n = 1
+            assert searched_boxes == [1, 2, 3, 4, 5]
 
 
 class TestVerifyWitness:
