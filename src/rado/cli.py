@@ -119,7 +119,18 @@ system_option = click.option(
     type=click.Path(exists=True, dir_okay=False),
     help="System file (JSON).",
 )
-box_option = click.option("-n", "box", type=int, required=True, help="Box side n.")
+
+
+def _box_side(_ctx, _param, value):
+    # the library answers for the empty box n = 0; a command refuses it
+    if value < 1:
+        _finish("error: box side n must be at least 1", 2, err=True)
+    return value
+
+
+box_option = click.option(
+    "-n", "box", type=int, required=True, callback=_box_side, help="Box side n."
+)
 budget_option = click.option(
     "--budget",
     type=int,

@@ -5,13 +5,21 @@ of k points whose i-th coordinate row satisfies the i-th scalar system
 exactly.  Enumeration works per coordinate and yields masked rows: the
 distinct restrictions of the coordinate's solution rows to the mask, each
 weighted by the number of full rows that restrict to it
-(``_masked_solutions``).  Unmasked dummy columns are thus counted, not
-listed.  The full mask gives the solution rows themselves, and the empty
-mask only their number.  Solution tuples are the Cartesian product of the
-coordinate lists (``_coordinate_solutions``), which the build and the
-counts read without walking it.  Every enumeration is guarded by a
-candidate budget, which also bounds the product, so oversized requests fail
-fast instead of running for hours.
+(``_masked_solutions``).  It reads the coordinate system's integer echelon
+form, which the system computes once (``ScalarSystem.echelon``).  A free
+column that no pivot reads and the mask leaves out is idle: it multiplies
+every weight by n and is not walked, so unmasked dummy columns are counted,
+not listed.  Of the other, walked, free columns all but the last are
+assigned one by one, and the last runs a whole interval at a time: its
+values that make every pivot integral form one progression, whose period P
+is fixed per system and mask.  The full mask gives the solution rows
+themselves, and the empty mask only their number.  Solution tuples are the
+Cartesian product of the coordinate lists (``_coordinate_solutions``),
+which the build and the counts read without walking it.  Every enumeration
+is guarded by a candidate budget, which also bounds the product, so
+oversized requests fail fast instead of running for hours.  The budget
+counts the n**f cells of all f free columns, idle ones included, although
+only n**(w-1) assignments of the w walked columns are visited.
 
 Degeneracy: a point set is degenerate when all its points have the same
 primitive form (point divided by the gcd of its coordinates), i.e. lie on
@@ -48,13 +56,12 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, DimensionMismatchError, SystemFormatError
-from .exactmath import rref
 from .systems import ScalarSystem, VectorSystem
 
 DEFAULT_BUDGET = 10**8
@@ -169,18 +176,27 @@ def _masked_solutions(
     """The distinct masked rows of the solutions in [1,n]^k, each mapped to
     its number of full solutions.
 
-    Iterates assignments of the free columns of the echelon form but the last
-    one, t, and solves each pivot column exactly.  Every pivot is then an
-    affine function of t, so the values of t that keep all pivots in [1,n]
-    form one interval; inside it only pivots with a fractional coefficient of
-    t still test divisibility.  When t is unmasked and every pivot that moves
-    with it is unmasked and integral in t, the interval's rows share one
-    masked row and are counted instead of listed.  The candidate grid has
-    n**f cells for f free columns and is refused beyond the budget.
+    Reads the system's integer echelon form (``ScalarSystem.echelon``), in
+    which every pivot is an affine function of the free columns.  A free
+    column is idle when no pivot reads it and the mask leaves it out: it
+    takes all n values in every solution, so each idle column multiplies
+    every weight by n and is not walked.  The other free columns are walked:
+    every assignment of all of them but the last one, t, is visited, and
+    the values of t that keep every pivot in [1,n] form one interval.  A
+    pivot with x_p = -(s + a * t) / scale is integral for t in at most one
+    residue class modulo scale / gcd(a, scale), so the t that make all
+    pivots integral are one progression t0, t0 + P, ... of the interval (or
+    none), where the period P is the lcm of those moduli over the pivots
+    that move with t; t0 is found among the interval's first P values.
+    Each masked column is then a constant or a progression in step with t,
+    and the interval's masked rows are counted in one pass (one row with
+    the progression's length when no masked column moves).  The candidate
+    grid has n**f cells for f free columns and is refused beyond the
+    budget, although only n**(w-1) assignments of the w walked columns are
+    visited.
     """
-    k = system.variables
-    basis = rref(system.coeffs)
-    if len(basis) < system.equations:
+    form = system.echelon
+    if form.rank < system.equations:
         # name the first caller outside this package, however deep the call
         frame, level = sys._getframe(), 1
         while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
@@ -189,37 +205,38 @@ def _masked_solutions(
             "coefficient matrix has dependent rows; using a row basis",
             stacklevel=level,
         )
-    pivot_set = {p for p, _ in basis}
-    free = [j for j in range(k) if j not in pivot_set]
     if n < 1:
         return {}
-    candidates = n ** len(free)
+    candidates = n ** len(form.free)
     if candidates > budget:
         raise BudgetExceededError(candidates, budget)
-    if not free:
-        return {}  # full column rank: only x = 0 solves
-    *outer, last = free
+    # with full column rank, or a pivot that reads no free column, some
+    # column is 0 in every solution
+    if not form.free or not all(any(c) for _, _, c in form.rows):
+        return {}
+    walked = [j for j in form.free if j in form.read or j in mask]
+    idle = n ** (len(form.free) - len(walked))
+    if not walked:
+        return {(): idle}  # no pivot, so every point solves; the mask is empty
+    *outer, last = walked
+    at = form.free.index
+    pivots = [
+        (p, scale, tuple(c[at(j)] for j in outer), c[at(last)])
+        for p, scale, c in form.rows
+    ]
+    period = lcm(*(scale // gcd(a, scale) for _, scale, _, a in pivots if a))
+    # how far each masked column moves when t moves by one period
+    steps = {last: period} | {p: -a * period // scale for p, scale, _, a in pivots}
+    columns = [(j, steps.get(j, 0)) for j in mask]
+    moves = any(step for _, step in columns)
 
-    # integer form of each pivot row: pivot value = -(s + a * t) / scale,
-    # with s the sum of ints times the outer free values
-    pivot_rows = []
-    for p, row in basis:
-        scale = lcm(*(row[j].denominator for j in free))
-        ints = tuple(int(row[j] * scale) for j in outer)
-        pivot_rows.append((p, scale, ints, int(row[last] * scale)))
-    counted = last not in mask and all(
-        not a or (p not in mask and scale == 1) for p, scale, _, a in pivot_rows
-    )
-
-    out: Rows = defaultdict(int)
-    vec = [0] * k
+    out: Counter[tuple[int, ...]] = Counter()
+    vec = [0] * system.variables
     for assignment in product(range(1, n + 1), repeat=len(outer)):
         lo, hi = 1, n
         moving = []
-        for p, scale, ints, a in pivot_rows:
-            s = 0
-            for b, x in zip(ints, assignment):
-                s += b * x
+        for p, scale, ints, a in pivots:
+            s = sum(map(mul, ints, assignment))
             if not a:
                 val, rem = divmod(-s, scale)
                 if rem or val < 1 or val > n:
@@ -234,23 +251,28 @@ def _masked_solutions(
             lo = max(lo, -(-low // a))
             hi = min(hi, high // a)
             moving.append((p, scale, s, a))
-        if lo > hi:
-            continue
-        for j, x in zip(outer, assignment):
-            vec[j] = x
-        if counted:
-            out[tuple(vec[j] for j in mask)] += hi - lo + 1
-            continue
-        for t in range(lo, hi + 1):
+        for t0 in range(lo, min(hi, lo + period - 1) + 1):
             for p, scale, s, a in moving:
-                val, rem = divmod(-s - a * t, scale)
+                val, rem = divmod(-s - a * t0, scale)
                 if rem:
                     break
                 vec[p] = val
             else:
-                vec[last] = t
-                out[tuple(vec[j] for j in mask)] += 1
-    return out
+                break
+        else:
+            continue  # no t of the interval makes every pivot integral
+        for j, x in zip(outer, assignment):
+            vec[j] = x
+        vec[last] = t0
+        count = (hi - t0) // period + 1
+        if moves:
+            out.update(zip(*[
+                range(vec[j], vec[j] + step * count, step) if step else repeat(vec[j], count)
+                for j, step in columns
+            ]))
+        else:
+            out[tuple(vec[j] for j in mask)] += count
+    return {row: w * idle for row, w in out.items()}
 
 
 def enumerate_scalar_solutions(

@@ -17,12 +17,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .errors import MalformedPartitionError, SystemFormatError, TooManyColumnsError
-from .exactmath import in_span, rank, reduce, rref
+from .exactmath import in_span, reduce, rref
 
 DEFAULT_COLUMN_LIMIT = 12
+
+
+class EchelonForm(NamedTuple):
+    """The reduced row echelon form of A.x = 0, solved for the pivots in integers.
+
+    Pivot row ``(p, scale, coeffs)`` says ``scale * x_p = -sum(c * x_j)`` over
+    the free columns j, with one integer c per free column in ``free`` order
+    and ``scale`` the least common denominator of the row's free entries.
+    ``read`` holds the free columns with a nonzero c in some pivot row.
+    """
+
+    rank: int
+    free: tuple[int, ...]
+    read: tuple[int, ...]
+    rows: tuple[tuple[int, int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -58,6 +75,19 @@ class ScalarSystem:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.coeffs)
+
+    @cached_property
+    def echelon(self) -> EchelonForm:
+        """The integer echelon form of the matrix, computed once per system."""
+        basis = rref(self.coeffs)
+        pivots = {p for p, _ in basis}
+        free = tuple(j for j in range(self.variables) if j not in pivots)
+        rows = []
+        for p, row in basis:
+            scale = lcm(*(row[j].denominator for j in free))
+            rows.append((p, scale, tuple(int(row[j] * scale) for j in free)))
+        read = tuple(j for i, j in enumerate(free) if any(c[i] for _, _, c in rows))
+        return EchelonForm(len(basis), free, read, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -128,7 +158,7 @@ def check_columns_condition(
     k = system.variables
     if k > limit:
         raise TooManyColumnsError(k, limit)
-    rk = rank(system.coeffs)
+    rk = system.echelon.rank
     full_rank = rk == system.equations
 
     cols = [system.column(j) for j in range(k)]
@@ -219,12 +249,7 @@ def verify_partition(system: ScalarSystem, partition: ColumnsPartition) -> bool:
 
 def rank_profile(system: VectorSystem) -> list[tuple[int, tuple[int, ...]]]:
     """Per-coordinate (rank, free columns); free columns are the non-pivots."""
-    profile = []
-    for s in system.coordinate_systems:
-        pivots = {p for p, _ in rref(s.coeffs)}
-        free = tuple(j for j in range(s.variables) if j not in pivots)
-        profile.append((len(pivots), free))
-    return profile
+    return [(s.echelon.rank, s.echelon.free) for s in system.coordinate_systems]
 
 
 # --- system file format ------------------------------------------------------

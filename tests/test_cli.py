@@ -369,6 +369,15 @@ class TestProblemOptions:
         assert result.exit_code == 2
         assert "mask indices must lie in [0, 3)" in result.output
 
+    @pytest.mark.parametrize(
+        "command, box",
+        [("count", "-3"), ("enumerate", "-2"), ("export-dimacs", "0")],
+    )
+    def test_empty_box_is_input_error(self, runner, system_files, command, box):
+        result = runner.invoke(main, [command, "-f", system_files["motivating"], "-n", box])
+        assert result.exit_code == 2
+        assert result.output == "error: box side n must be at least 1\n"
+
 
 class TestExportDimacs:
     def test_stdout_and_json(self, runner, system_files):

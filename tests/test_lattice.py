@@ -146,6 +146,10 @@ MASKED_CASES = [
     ),
     # x0 = x1 / 2 is fixed while the last free column x2 runs
     pytest.param([[2, -1, 0]], 9, DEFAULT_BUDGET, id="collapse-beside-scale-2"),
+    # x0 = t / 2 and x1 = t / 3 both move with t, so t steps by P = 6
+    pytest.param([[2, 0, -1], [0, 3, -1]], 20, DEFAULT_BUDGET, id="period-6"),
+    # x0 = (x1 + 2t) / 2: t's coefficient is integral, the offset x1 / 2 not
+    pytest.param([[2, -1, -2]], 20, DEFAULT_BUDGET, id="fractional-offset"),
 ] + [_seeded_scalar_case(seed) for seed in range(200)]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from oracles import naive_constraints, plain_scan
 
 from rado.dpll import parse_dimacs, solve_cnf
 from rado.errors import BudgetExceededError, DimensionMismatchError
+from rado.exactmath import rref
 from rado.kernel import available_backends, solve_avoidability
 from rado.lattice import Coloring, count_monochromatic, is_degenerate, point_index
 from rado.search import (
@@ -433,6 +435,23 @@ def test_lift_skips_bench_boxes(label, searched_boxes):
     result = rado_number(problem, max_n)
     assert len(searched_boxes) == boxes
     assert searched_boxes == list(range(searched_boxes[0], result.searched_to + 1))
+
+
+def test_rado_number_reduces_each_coordinate_system_once(monkeypatch):
+    # the scan enumerates every coordinate before each box it builds, but a
+    # system's echelon form is computed once and kept
+    reduced = []
+
+    def counted(rows):
+        reduced.append(rows)
+        return rref(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rado") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", counted)
+    system = VectorSystem.from_rows([[[1, 1, -1, 0]], [[-1, 1, 0, -1], [0, -1, 1, -1]]])
+    assert rado_number(SearchProblem(system, colors=2, mask=(0, 1, 2)), 12).value == 9
+    assert sorted(reduced) == sorted(s.coeffs for s in system.coordinate_systems)
 
 
 def test_lifted_scan_refuses_as_plain_scan(searched_boxes):
