@@ -52,6 +52,45 @@ import sys
 from typing import Sequence
 
 
+def _point_masks(
+    num_points: int, constraints: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """Per point, the mask of every constraint holding it, in constraint order.
+
+    A constraint is listed once per occurrence of the point in it, and a mask
+    of at most two distinct points holds the phantom bit ``1 << num_points``.
+    Pairs and triples are unpacked rather than walked; a triple with a
+    repeated point is at most a pair.
+    """
+    bits = [1 << p for p in range(num_points)]
+    phantom = 1 << num_points
+    masks: list[list[int]] = [[] for _ in range(num_points)]
+    for c in constraints:
+        size = len(c)
+        if size == 2:
+            a, b = c
+            m = bits[a] | bits[b] | phantom
+            masks[a].append(m)
+            masks[b].append(m)
+        elif size == 3:
+            a, b, e = c
+            m = bits[a] | bits[b] | bits[e]
+            if a == b or b == e or a == e:
+                m |= phantom
+            masks[a].append(m)
+            masks[b].append(m)
+            masks[e].append(m)
+        else:
+            m = 0
+            for pt in c:
+                m |= bits[pt]
+            if m.bit_count() <= 2:
+                m |= phantom
+            for pt in c:
+                masks[pt].append(m)
+    return masks
+
+
 def solve(
     num_points: int,
     colors: int,
@@ -74,15 +113,7 @@ def solve(
     phantom = 1 << num_points
     every = phantom | (phantom - 1)
     # masks[p]: the mask of every constraint holding p, in constraint order
-    masks: list[list[int]] = [[] for _ in range(num_points)]
-    for c in constraints:
-        m = 0
-        for pt in c:
-            m |= bits[pt]
-        if m.bit_count() <= 2:
-            m |= phantom
-        for pt in c:
-            masks[pt].append(m)
+    masks = _point_masks(num_points, constraints)
 
     color = [-1] * num_points
     # a colored point's forbidden colors are -1, all bits set

@@ -348,9 +348,9 @@ def _point_sets(
     mask: tuple[int, ...],
     budget: int,
     exclude_degenerate: bool,
-) -> set[tuple[int, ...]]:
+) -> dict[tuple[int, ...], None]:
     """Distinct masked point-index sets of the solution tuples in [1,n]^d,
-    as sorted tuples (see the module docstring).
+    as sorted tuples (see the module docstring), keyed in build order.
 
     A set is a base plus one row of the last list, summed column by column,
     in the argsort order of the base; only sets on a tied base (one
@@ -358,17 +358,18 @@ def _point_sets(
     sorted one by one.  With `exclude_degenerate`, the last list's
     contributions are ordered by their rows' forms, so the degenerate tuples
     on a base of one form f are those completed by one span [lo, hi) of
-    them, which that base skips.
+    them, which that base skips.  Build order is each base's run of sets in
+    turn, each set kept where it first occurs: it depends on the enumeration
+    alone, never on hashing.
     """
     lists = _coordinate_solutions(system, n, mask, budget)
-    sets: set[tuple[int, ...]] = set()
     if exclude_degenerate and len(lists) == 1:
-        return sets
+        return {}
     width = len(mask)
     contributions = _index_contributions(lists, n)
     *outer, last = contributions
     if not last:
-        return sets
+        return {}
     spans = {}
     if exclude_degenerate:
         # a form's bases are the sums of one same-form contribution per outer list
@@ -383,6 +384,7 @@ def _point_sets(
                     bases = {tuple(map(add, b, c)) for b in bases for c in groups[form]}
                 spans.update(dict.fromkeys(bases, span))
     columns = list(zip(*last))
+    sets: dict[tuple[int, ...], None] = {}
     for base in _base_sums(outer, width):
         cols = columns
         if base in spans:
@@ -392,7 +394,7 @@ def _point_sets(
         sums = zip(*[map(base[j].__add__, cols[j]) for j in order])
         if len(set(base)) < width:
             sums = map(tuple, map(sorted, map(set, sums)))
-        sets.update(sums)
+        sets.update(zip(sums, repeat(None)))
     return sets
 
 

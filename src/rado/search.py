@@ -11,9 +11,20 @@ set that contains another set is dropped, because a coloring that splits
 the smaller set also splits the larger one; a set is found dominated by
 looking up each of its subsets, of every smaller size that occurs, among
 the built sets (nothing is dominated when all sets have one size).  The
-kept sets are ordered by size, then lexicographically: each size's sets
-take one stable sort per column, last column first, so the sorts compare
-ints rather than tuples.
+kept sets come in groups by ascending size, each in build order: the order
+in which the projection first makes them, which depends on the enumeration
+alone, never on hashing.
+
+Where order is visible, the kept sets are put in lexicographic order within
+each size (one stable sort per column, last column first, so the sorts
+compare ints rather than tuples): ``build_constraints`` returns them so, and
+through it the DIMACS text and the violated set that ``verify_witness``
+names.  The search does not sort.  Propagation reaches the same fixpoint,
+or the same conflict, whatever order the constraints are visited in, and
+the branch points and colors tried depend only on that fixpoint, so the
+status and the witness do not depend on constraint order; the search hands
+the kernel the sets in build order and reports the lexicographically first
+one-point set as the forced one.
 
 The search itself runs in a swappable kernel (see ``kernel``); this module
 prepares the constraint hypergraph, the branching order (most-constrained
@@ -83,7 +94,12 @@ class SearchProblem:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Deduplicated, minimal point-index sets that must not be monochromatic."""
+    """Deduplicated, minimal point-index sets that must not be monochromatic.
+
+    From ``build_constraints`` they come by size, then in lexicographic
+    order; the search's own set holds them by size, in build order, which
+    no answer depends on (see the module docstring).
+    """
 
     n: int
     d: int
@@ -129,36 +145,49 @@ class RadoNumberResult:
 def build_constraints(
     problem: SearchProblem, n: int, budget: int = DEFAULT_BUDGET
 ) -> ConstraintSet:
-    """Masked point sets of all filtered solution tuples in [1,n]^d."""
+    """Masked point sets of all filtered solution tuples in [1,n]^d.
+
+    The kept sets come by size, then in lexicographic order.
+    """
     d = problem.system.d
-    mask = problem.mask
     if n < 1:
         return ConstraintSet(n, d, ())
-    seen = _point_sets(problem.system, n, mask, budget, problem.exclude_degenerate)
+    groups = _kept_groups(problem, n, budget)
+    # sets of one size in lexicographic order: a stable sort per column,
+    # last column first
+    for group in filter(None, groups):
+        for j in reversed(range(len(group[0]))):
+            group.sort(key=itemgetter(j))
+    return ConstraintSet(n, d, tuple(chain.from_iterable(groups)))
+
+
+def _kept_groups(
+    problem: SearchProblem, n: int, budget: int
+) -> list[list[tuple[int, ...]]]:
+    """The sets that no other set dominates, in groups by ascending size,
+    each group in build order (see ``lattice._point_sets``).
+
+    The smallest size's group holds every set of that size; a larger size's
+    group is empty when all its sets are dominated.
+    """
+    seen = _point_sets(problem.system, n, problem.mask, budget, problem.exclude_degenerate)
     if problem.require_distinct:
-        seen = {s for s in seen if len(s) == len(mask)}
+        # the sets with one point per masked position: all of one size, so
+        # none dominates another
+        seen = [s for s in seen if len(s) == len(problem.mask)]
     # a set is dominated when it properly contains another set; its minimal
     # dominator is kept and lies in seen, so looking up its subsets of every
     # smaller size present in seen finds exactly the dominated sets (the
     # subsets of a sorted tuple are sorted tuples, as the sets are)
     sizes = sorted(set(map(len, seen)))
-    if len(sizes) > 1:
-        kept = [
-            s
-            for s in seen
-            if not any(
-                c in seen for m in sizes if m < len(s) for c in combinations(s, m)
-            )
-        ]
-        groups = [[s for s in kept if len(s) == m] for m in sizes]
-    else:
-        groups = [list(seen)]
-    # sets of one size in lexicographic order: a stable sort per column,
-    # last column first
-    for m, group in zip(sizes, groups):
-        for j in reversed(range(m)):
-            group.sort(key=itemgetter(j))
-    return ConstraintSet(n, d, tuple(chain.from_iterable(groups)))
+    if len(sizes) < 2:
+        return [list(seen)]
+    kept = [
+        s
+        for s in seen
+        if not any(c in seen for m in sizes if m < len(s) for c in combinations(s, m))
+    ]
+    return [[s for s in kept if len(s) == m] for m in sizes]
 
 
 def _branch_order(cs: ConstraintSet) -> list[int]:
@@ -193,14 +222,15 @@ def find_avoiding_coloring(
         raise ValueError("box side n must be at least 1")
     r = problem.colors
     solve = _kernel(None, r)
-    cs = build_constraints(problem, n, budget)
+    groups = _kept_groups(problem, n, budget)
     d = problem.system.d
     num_points = n**d
+    cs = ConstraintSet(n, d, tuple(chain.from_iterable(groups)))
     if not cs.constraints:
         return SearchOutcome(AVOIDABLE, Coloring(n, d, r, (0,) * num_points), None)
-    # constraints are sorted by size, so a singleton comes first
+    # the groups ascend by size, so the singletons, if any, are the first
     if len(cs.constraints[0]) == 1:
-        return SearchOutcome(TRIVIALLY_UNAVOIDABLE, None, cs.decode(cs.constraints[0]))
+        return SearchOutcome(TRIVIALLY_UNAVOIDABLE, None, cs.decode(min(groups[0])))
     order = _branch_order(cs)
     ok, assignment = solve(num_points, r, cs.constraints, order)
     if ok:

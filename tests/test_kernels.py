@@ -10,7 +10,14 @@ import pytest
 
 from rado import _kernel_py
 from rado.kernel import available_backends, default_backend, solve_avoidability
-from rado.search import SearchProblem, _branch_order, build_constraints
+from rado.search import (
+    AVOIDABLE,
+    UNAVOIDABLE,
+    SearchProblem,
+    _branch_order,
+    build_constraints,
+    find_avoiding_coloring,
+)
 from rado.systems import ScalarSystem, VectorSystem
 
 from oracles import avoidable_all_colorings
@@ -212,13 +219,14 @@ def test_backends_match_brute_force_and_each_other():
 PROPAGATION_ANSWERS = "4723c126ea137bde234783b8d5abbbb59e0a0e8703899cdfb6e6294d8a32a8aa"
 
 
-def test_backends_match_on_propagation_and_partial_orders():
-    # shuffled and partial orders: points left out of `order` are colored only
-    # by propagation, a path that the brute-force test above never reaches
+def propagation_instances():
+    """300 random (num_points, colors, constraints, order) instances.
+
+    The orders are shuffled and often partial: points left out of `order`
+    are colored only by propagation, a path that the brute-force test above
+    never reaches.
+    """
     rng = random.Random(2024)
-    statuses = set()
-    propagated = 0
-    answers = []
     for _ in range(300):
         num_points = rng.randint(2, 60)
         r = rng.randint(1, 5)
@@ -229,6 +237,14 @@ def test_backends_match_on_propagation_and_partial_orders():
         order = rng.sample(range(num_points), num_points)
         if rng.random() < 0.5:
             order = order[: rng.randint(0, num_points)]
+        yield num_points, r, cons, order
+
+
+def test_backends_match_on_propagation_and_partial_orders():
+    statuses = set()
+    propagated = 0
+    answers = []
+    for num_points, r, cons, order in propagation_instances():
         results = {
             backend: solve_avoidability(num_points, r, cons, order, backend=backend)
             for backend in BACKENDS
@@ -244,6 +260,42 @@ def test_backends_match_on_propagation_and_partial_orders():
     assert statuses == {True, False}
     assert propagated > 0
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == PROPAGATION_ANSWERS
+
+
+def test_answers_do_not_depend_on_constraint_order():
+    # propagation reaches the same fixpoint, or a conflict, whatever order
+    # the constraints and their points are visited in, and the branch points
+    # and colors tried depend only on that fixpoint; the search relies on
+    # this to hand the kernel its sets in build order
+    rng = random.Random(22)
+    for num_points, r, cons, order in propagation_instances():
+        shuffled = [tuple(rng.sample(c, len(c))) for c in rng.sample(cons, len(cons))]
+        for backend in BACKENDS:
+            expected = solve_avoidability(num_points, r, cons, order, backend=backend)
+            got = solve_avoidability(num_points, r, shuffled, order, backend=backend)
+            assert got == expected, (num_points, r, cons, shuffled, order, backend)
+
+
+def test_point_masks_match_a_walk_of_every_constraint():
+    # pairs and triples are unpacked, not walked; each point's list must
+    # still hold the same masks in the same order, a repeated point's
+    # constraint once per occurrence, as the C kernel visits them
+    rng = random.Random(5)
+    for _ in range(300):
+        num_points = rng.randint(1, 12)
+        cons = [
+            tuple(rng.choices(range(num_points), k=rng.randint(1, 5)))
+            for _ in range(rng.randint(0, 30))
+        ]
+        phantom = 1 << num_points
+        expected = [[] for _ in range(num_points)]
+        for c in cons:
+            m = sum(1 << p for p in set(c))
+            if len(set(c)) <= 2:
+                m |= phantom
+            for p in c:
+                expected[p].append(m)
+        assert _kernel_py._point_masks(num_points, cons) == expected, cons
 
 
 SCHUR = VectorSystem.from_rows([[[1, 1, -1]]])
@@ -276,7 +328,7 @@ BENCH_KERNEL_ANSWERS = {
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("label", BENCH_KERNEL_ANSWERS)
-def test_bench_boxes_pinned(backend, label):
+def test_bench_boxes_pinned(backend, label, monkeypatch):
     problem, n, digest = BENCH_KERNEL_ANSWERS[label]
     cs = build_constraints(problem, n)
     ok, colors = solve_avoidability(
@@ -287,3 +339,11 @@ def test_bench_boxes_pinned(backend, label):
         assert (ok, colors) == (False, None)
     else:
         assert ok and hashlib.sha256(bytes(colors)).hexdigest() == digest
+    # the search hands the same backend the sets in build order
+    monkeypatch.setattr("rado.kernel.default_backend", lambda: backend)
+    outcome = find_avoiding_coloring(problem, n)
+    if digest is None:
+        assert (outcome.status, outcome.witness) == (UNAVOIDABLE, None)
+    else:
+        assert outcome.status == AVOIDABLE
+        assert hashlib.sha256(bytes(outcome.witness.colors)).hexdigest() == digest

@@ -258,6 +258,20 @@ class TestFindAvoidingColoring:
         assert out.status == TRIVIALLY_UNAVOIDABLE
         assert out.forced_constraint == (((1,)),)
 
+    @pytest.mark.parametrize(
+        "system, mask, n",
+        [
+            # x + y = z with x = y: the built singletons are (0,), (1,), (2,)
+            (SCHUR, (0, 1), 6),
+            # 3y = 2x + 2z: the build makes x = 2 before x = 1
+            (ScalarSystem.from_rows([[-2, 3, -2]]), (0,), 2),
+        ],
+    )
+    def test_trivially_unavoidable_reports_the_first_singleton(self, system, mask, n):
+        out = find_avoiding_coloring(SearchProblem(VectorSystem((system,)), 2, mask), n)
+        assert out.status == TRIVIALLY_UNAVOIDABLE
+        assert out.forced_constraint == ((1,),)
+
     def test_no_constraints_avoidable(self):
         out = find_avoiding_coloring(SCHUR_1D, 1)
         assert out.status == AVOIDABLE
