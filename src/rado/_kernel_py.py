@@ -11,10 +11,19 @@ point indices are in range by the public dispatcher's check or by the build
 
 Algorithm: depth-first search over the supplied branching order with
 
+* fail-first branching after the first dead end: a dead end is a color
+  tried at a branch point whose propagation conflicts or whose subtree has
+  no coloring.  Until the first one, the search branches on the next
+  uncolored point of the order; from then on, for the rest of the call, on
+  the first uncolored point of the order with exactly two colors left, if
+  there is one, and on the next uncolored point otherwise.  A point with
+  one color left is already colored by propagation, and with two colors
+  every uncolored point has two left, so two-color searches, and searches
+  that never fail, branch exactly in order;
 * color-symmetry breaking: a branch may only introduce color g when colors
   0..g-1 already occur on the current path (forced assignments keep this
   canonical automatically, since a color can only be forbidden after it has
-  been used);
+  been used), which stays sound under any branching order;
 * unit-style propagation on bitsets: every constraint is one int mask of its
   points, and ``notcol[g]`` is the set of points not colored g.  Coloring q
   with g clears q from ``notcol[g]`` and intersects it with each mask of q:
@@ -164,14 +173,30 @@ def solve(
         return True
 
     olen = len(order)
+    # two_left: the forbidden colors of a point with two colors left
+    two_left = {
+        full_mask ^ (1 << a) ^ (1 << b) for a in range(colors) for b in range(a)
+    }
+    # set at the first dead end; from then on the search branches fail-first
+    failed = False
 
     def dfs(oi: int) -> bool:
-        nonlocal introduced
+        nonlocal introduced, failed
         while oi < olen and color[order[oi]] >= 0:
             oi += 1
         if oi == olen:
             return True
         x = order[oi]
+        # the points before oi are colored, and order[oi] stays uncolored
+        # when another point is branched on, so the recursion keeps oi
+        nxt = oi + 1
+        if failed:
+            for j in range(oi, olen):
+                if forbid[order[j]] in two_left:
+                    if j > oi:
+                        x = order[j]
+                        nxt = oi
+                    break
         top = min(introduced, colors - 1)
         fb = forbid[x]
         saved = None
@@ -182,8 +207,9 @@ def solve(
                 saved = color[:], forbid[:], notcol[:], introduced
             else:
                 color[:], forbid[:], notcol[:], introduced = saved
-            if assign(x, g) and dfs(oi + 1):
+            if assign(x, g) and dfs(nxt):
                 return True
+            failed = True
         return False
 
     depth_needed = num_points * 2 + 100

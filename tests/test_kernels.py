@@ -163,19 +163,19 @@ def _interrupt(signum, frame):
 @needs_c
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 def test_compiled_search_stops_on_signal():
-    # weak Schur, 4 colors, n = 60: avoidable, but the C kernel needs about
-    # 11 s to find a coloring (2-vCPU x86-64 VM); a handler that raises must
+    # weak Schur, 4 colors, n = 66: avoidable, but the C kernel needs about
+    # 5 s to find a coloring (2-vCPU x86-64 VM); a handler that raises must
     # stop it long before that, as Ctrl-C does
     schur = VectorSystem((ScalarSystem.from_rows([[1, 1, -1]]),))
     weak_schur = SearchProblem(schur, colors=4, require_distinct=True)
-    cs = build_constraints(weak_schur, 60)
+    cs = build_constraints(weak_schur, 66)
     order = _branch_order(cs)
     previous = signal.signal(signal.SIGALRM, _interrupt)
     start = time.perf_counter()
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.2)
         with pytest.raises(_Interrupted):
-            solve_avoidability(60, 4, cs.constraints, order, backend="c")
+            solve_avoidability(66, 4, cs.constraints, order, backend="c")
         elapsed = time.perf_counter() - start
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -186,6 +186,53 @@ def test_compiled_search_stops_on_signal():
     assert solve_avoidability(3, 2, triangle, [0, 1, 2], backend="c") == (False, None)
     ok, colors = solve_avoidability(3, 3, triangle, [0, 1, 2], backend="c")
     assert ok and check_witness(triangle, colors)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_branches_fail_first_after_the_first_dead_end(backend):
+    # 0 takes color 0, which forbids 0 at 4; 1 tries 0, which forbids 0 at
+    # 2 and 3; 2 tries 1 (2 may not introduce color 2), which forces 3 and 4
+    # to 2, and (3, 4) is then monochromatic: the first dead end.  1 takes 1,
+    # which forbids 1 at 3.  Now 2 has three colors left and 3 has two, so
+    # the search branches on 3, not on order[2], and colors it 0; 2 has two
+    # colors left then and takes 1, which forces 4 to 2.  The static order
+    # would color 2 with 0 instead and answer [0, 1, 0, 2, 1].
+    cons = [(0, 1, 2), (0, 4), (1, 3), (2, 3), (2, 4), (3, 4)]
+    assert solve_avoidability(5, 3, cons, range(5), backend=backend) == (
+        True, [0, 1, 1, 0, 2],
+    )
+
+
+def fail_first_instances():
+    """300 random (num_points, colors, constraints, order) instances.
+
+    Three or four colors, full orders, shuffled: the instances on which the
+    fail-first rule can branch away from the order.  Small enough for
+    ``avoidable_all_colorings``.
+    """
+    rng = random.Random(23)
+    for _ in range(300):
+        r = rng.choice([3, 4])
+        num_points = rng.randint(6, 9 if r == 3 else 8)
+        cons = [
+            tuple(rng.sample(range(num_points), rng.choice([2, 3])))
+            for _ in range(rng.randint(2 * num_points, 3 * num_points))
+        ]
+        yield num_points, r, cons, rng.sample(range(num_points), num_points)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fail_first_branching_keeps_answers_exact(backend):
+    # the rule changes which point is branched on, never the status or the
+    # validity of a witness
+    statuses = set()
+    for num_points, r, cons, order in fail_first_instances():
+        ok, colors = solve_avoidability(num_points, r, cons, order, backend=backend)
+        assert ok == avoidable_all_colorings(num_points, r, cons), (num_points, r, cons, order)
+        if ok:
+            assert check_witness(cons, colors), (num_points, r, cons, order, colors)
+        statuses.add(ok)
+    assert statuses == {True, False}
 
 
 def test_backends_match_brute_force_and_each_other():
@@ -216,7 +263,7 @@ def test_backends_match_brute_force_and_each_other():
 
 # sha256 of the repr of the 300 (ok, colors) answers below: every backend
 # must give them, so the test checks propagation with one backend too
-PROPAGATION_ANSWERS = "4723c126ea137bde234783b8d5abbbb59e0a0e8703899cdfb6e6294d8a32a8aa"
+PROPAGATION_ANSWERS = "4c9e28ccd6fb475ff80cb9ad8a471a108876d8a4b26f2a2f2639b8b4a54d25c5"
 
 
 def propagation_instances():
@@ -313,7 +360,7 @@ BENCH_KERNEL_ANSWERS = {
     ),
     "flagship-r3-mask-0,1,2-n16": (
         SearchProblem(FLAGSHIP, colors=3, mask=(0, 1, 2)), 16,
-        "264e87e135b3c406fd367d88555de126fd6ef5f387b13878e0e852bd9ea45632",
+        "5e21476c67cb88a0427d7f922792c92ab2cb1922fbbedfb36bf9a47794f0a0e3",
     ),
     "3-ap-r3-n27": (SearchProblem(AP3, colors=3, mask=(0, 1, 2)), 27, None),
     "weak-schur-r3-n24": (
@@ -347,3 +394,15 @@ def test_bench_boxes_pinned(backend, label, monkeypatch):
     else:
         assert outcome.status == AVOIDABLE
         assert hashlib.sha256(bytes(outcome.witness.colors)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_search_that_never_backtracks_keeps_its_witness(backend, monkeypatch):
+    # this box is decided with no dead end, so the fail-first rule never
+    # acts: the digest is the one the static branching order gave
+    monkeypatch.setattr("rado.kernel.default_backend", lambda: backend)
+    outcome = find_avoiding_coloring(SearchProblem(FLAGSHIP, colors=3, mask=(0, 1, 2)), 12)
+    assert outcome.status == AVOIDABLE
+    assert hashlib.sha256(bytes(outcome.witness.colors)).hexdigest() == (
+        "1e24d27df9344a4fbf793d11f28d0fe5d80cdfe0f62ad1b3568e4d636b9771d8"
+    )
