@@ -18,17 +18,17 @@
    restore state differently: _kernel_py snapshots it per branch point,
    while here every assignment and every forbidden color bit is trailed, so
    undo() restores the state exactly.  Both branch the same way: on the
-   next uncolored point of the order until a color tried at a branch point
-   first fails, and from then on, for the rest of the call, on the first
-   uncolored point of the order with exactly two colors left, if there is
-   one (popcount64 of its forbidden colors is colors - 2).  The DFS polls
-   for signals every SIGNAL_CHECK_MASK + 1 calls, so Ctrl-C stops a long
-   search. */
+   first uncolored point with exactly two colors left (popcount64 of its
+   forbidden colors is colors - 2) among the next LOOKAHEAD entries of the
+   order, and on the next uncolored point when there is none.  The DFS
+   polls for signals every SIGNAL_CHECK_MASK + 1 calls, so Ctrl-C stops a
+   long search. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #define SIGNAL_CHECK_MASK 4095
+#define LOOKAHEAD 8  /* equal to _kernel_py.LOOKAHEAD */
 
 typedef unsigned long long u64;
 
@@ -47,7 +47,6 @@ typedef struct {
     int fb_top;
     int *queue_pts, *queue_cols;
     int introduced;     /* colors used on the current path */
-    int failed;         /* set at the first dead end: branch fail-first */
     unsigned long calls;
     int *ints;          /* one block that holds every int array above */
     u64 *words;         /* one block that holds forbid and forb_bits */
@@ -236,7 +235,7 @@ undo(Engine *e, int assign_mark, int forb_mark)
 static int
 dfs(Engine *e, int oi)
 {
-    int x, g, top, j, next;
+    int x, g, top, j, next, end;
     u64 fb;
     if ((++e->calls & SIGNAL_CHECK_MASK) == 0 && PyErr_CheckSignals() < 0)
         return -1;
@@ -248,16 +247,15 @@ dfs(Engine *e, int oi)
     /* the points before oi are colored, and order[oi] stays uncolored when
        another point is branched on, so the recursion keeps oi */
     next = oi + 1;
-    if (e->failed) {
-        for (j = oi; j < e->olen; j++) {
-            int y = e->order[j];
-            if (e->color[y] < 0 && popcount64(e->forbid[y]) == e->colors - 2) {
-                if (j > oi) {
-                    x = y;
-                    next = oi;
-                }
-                break;
+    end = oi + LOOKAHEAD < e->olen ? oi + LOOKAHEAD : e->olen;
+    for (j = oi; j < end; j++) {
+        int y = e->order[j];
+        if (e->color[y] < 0 && popcount64(e->forbid[y]) == e->colors - 2) {
+            if (j > oi) {
+                x = y;
+                next = oi;
             }
+            break;
         }
     }
     top = e->introduced < e->colors - 1 ? e->introduced : e->colors - 1;
@@ -273,7 +271,6 @@ dfs(Engine *e, int oi)
         }
         undo(e, am, fm);
         e->introduced = saved;
-        e->failed = 1;
     }
     return 0;
 }

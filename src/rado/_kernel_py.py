@@ -11,15 +11,16 @@ point indices are in range by the public dispatcher's check or by the build
 
 Algorithm: depth-first search over the supplied branching order with
 
-* fail-first branching after the first dead end: a dead end is a color
-  tried at a branch point whose propagation conflicts or whose subtree has
-  no coloring.  Until the first one, the search branches on the next
-  uncolored point of the order; from then on, for the rest of the call, on
-  the first uncolored point of the order with exactly two colors left, if
-  there is one, and on the next uncolored point otherwise.  A point with
-  one color left is already colored by propagation, and with two colors
-  every uncolored point has two left, so two-color searches, and searches
-  that never fail, branch exactly in order;
+* fail-first branching with a short lookahead: at each branch point the
+  search takes the first uncolored point with exactly two colors left
+  among the next ``LOOKAHEAD`` entries of the order, counted from the first
+  uncolored one, and that first uncolored point when none of them has two
+  left.  A point with one color left is already colored by propagation,
+  and with two colors every uncolored point has two left, so two-color
+  searches branch exactly in order.  The window keeps the search near the
+  front of the order: on a two-dimensional box the first point with two
+  colors left can lie hundreds of entries ahead, and branching there
+  slows refutations (see ROADMAP, Baseline);
 * color-symmetry breaking: a branch may only introduce color g when colors
   0..g-1 already occur on the current path (forced assignments keep this
   canonical automatically, since a color can only be forbidden after it has
@@ -59,6 +60,11 @@ from __future__ import annotations
 
 import sys
 from typing import Sequence
+
+# how many entries of the order, from the first uncolored one, a branch
+# point looks through for a point with two colors left; _kernel_c.c's
+# LOOKAHEAD must be equal
+LOOKAHEAD = 8
 
 
 def _point_masks(
@@ -177,11 +183,9 @@ def solve(
     two_left = {
         full_mask ^ (1 << a) ^ (1 << b) for a in range(colors) for b in range(a)
     }
-    # set at the first dead end; from then on the search branches fail-first
-    failed = False
 
     def dfs(oi: int) -> bool:
-        nonlocal introduced, failed
+        nonlocal introduced
         while oi < olen and color[order[oi]] >= 0:
             oi += 1
         if oi == olen:
@@ -190,13 +194,12 @@ def solve(
         # the points before oi are colored, and order[oi] stays uncolored
         # when another point is branched on, so the recursion keeps oi
         nxt = oi + 1
-        if failed:
-            for j in range(oi, olen):
-                if forbid[order[j]] in two_left:
-                    if j > oi:
-                        x = order[j]
-                        nxt = oi
-                    break
+        for y in order[oi:oi + LOOKAHEAD]:
+            if forbid[y] in two_left:
+                if y != x:
+                    x = y
+                    nxt = oi
+                break
         top = min(introduced, colors - 1)
         fb = forbid[x]
         saved = None
@@ -209,7 +212,6 @@ def solve(
                 color[:], forbid[:], notcol[:], introduced = saved
             if assign(x, g) and dfs(nxt):
                 return True
-            failed = True
         return False
 
     depth_needed = num_points * 2 + 100

@@ -10,10 +10,10 @@ kernel skips a constraint with no other point colored h and intersects
 bitsets for the rest.  They restore state on backtracking differently: the
 Python kernel snapshots it per branch point, the C kernel trails every
 change.  They follow the identical deterministic decision sequence, so
-results do not depend on the choice: both branch on the next uncolored
-point of the supplied order until the first dead end, and from then on on
-the first uncolored point of the order with exactly two colors left, when
-there is one (see ``_kernel_py``).
+results do not depend on the choice: both branch on the first uncolored
+point with exactly two colors left among the next ``_kernel_py.LOOKAHEAD``
+entries of the supplied order, and on the next uncolored point when there
+is none (see ``_kernel_py``).
 ``_kernel`` picks the backend and checks the color count.  The public
 ``solve_avoidability`` adds the checks its caller cannot vouch for (no
 empty constraint, every point index in range) and answers a constraint of

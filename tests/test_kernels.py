@@ -164,7 +164,7 @@ def _interrupt(signum, frame):
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 def test_compiled_search_stops_on_signal():
     # weak Schur, 4 colors, n = 66: avoidable, but the C kernel needs about
-    # 5 s to find a coloring (2-vCPU x86-64 VM); a handler that raises must
+    # 18 s to find a coloring (2-vCPU x86-64 VM); a handler that raises must
     # stop it long before that, as Ctrl-C does
     schur = VectorSystem((ScalarSystem.from_rows([[1, 1, -1]]),))
     weak_schur = SearchProblem(schur, colors=4, require_distinct=True)
@@ -189,17 +189,29 @@ def test_compiled_search_stops_on_signal():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_branches_fail_first_after_the_first_dead_end(backend):
-    # 0 takes color 0, which forbids 0 at 4; 1 tries 0, which forbids 0 at
-    # 2 and 3; 2 tries 1 (2 may not introduce color 2), which forces 3 and 4
-    # to 2, and (3, 4) is then monochromatic: the first dead end.  1 takes 1,
-    # which forbids 1 at 3.  Now 2 has three colors left and 3 has two, so
-    # the search branches on 3, not on order[2], and colors it 0; 2 has two
-    # colors left then and takes 1, which forces 4 to 2.  The static order
-    # would color 2 with 0 instead and answer [0, 1, 0, 2, 1].
-    cons = [(0, 1, 2), (0, 4), (1, 3), (2, 3), (2, 4), (3, 4)]
-    assert solve_avoidability(5, 3, cons, range(5), backend=backend) == (
-        True, [0, 1, 1, 0, 2],
+def test_branches_on_a_point_with_two_colors_left(backend):
+    # 0 takes color 0, which forbids 0 at 3.  3 now has two colors left, so
+    # the search branches on it, not on order[1]: it takes 1 (it may not
+    # introduce color 2), which forbids 1 at 2; 2 has two left then and takes
+    # 0, which forbids 0 at 1, and 1 takes 1.  The static order would color
+    # 1 with 0 next and answer [0, 0, 1, 2].
+    cons = [(0, 3), (1, 2), (2, 3)]
+    assert solve_avoidability(4, 3, cons, range(4), backend=backend) == (
+        True, [0, 1, 0, 1],
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_looks_for_two_colors_left_only_near_the_front(backend):
+    # the same constraints with LOOKAHEAD unconstrained points between 2 and
+    # 3 in the order: 3 has two colors left after 0 takes 0, but it lies
+    # beyond the window, so the search colors 1 with 0 and 2 with 1 in order,
+    # which forces 3 to 2, as the static order answers
+    pad = _kernel_py.LOOKAHEAD
+    cons = [(0, 3), (1, 2), (2, 3)]
+    order = [0, 1, 2, *range(4, 4 + pad), 3]
+    assert solve_avoidability(4 + pad, 3, cons, order, backend=backend) == (
+        True, [0, 0, 1, 2] + [0] * pad,
     )
 
 
@@ -263,7 +275,7 @@ def test_backends_match_brute_force_and_each_other():
 
 # sha256 of the repr of the 300 (ok, colors) answers below: every backend
 # must give them, so the test checks propagation with one backend too
-PROPAGATION_ANSWERS = "4c9e28ccd6fb475ff80cb9ad8a471a108876d8a4b26f2a2f2639b8b4a54d25c5"
+PROPAGATION_ANSWERS = "37a725f524da9b836011866985d5b9779397541d32bcd3986ade5519c8ea8faa"
 
 
 def propagation_instances():
@@ -360,7 +372,7 @@ BENCH_KERNEL_ANSWERS = {
     ),
     "flagship-r3-mask-0,1,2-n16": (
         SearchProblem(FLAGSHIP, colors=3, mask=(0, 1, 2)), 16,
-        "5e21476c67cb88a0427d7f922792c92ab2cb1922fbbedfb36bf9a47794f0a0e3",
+        "264e87e135b3c406fd367d88555de126fd6ef5f387b13878e0e852bd9ea45632",
     ),
     "3-ap-r3-n27": (SearchProblem(AP3, colors=3, mask=(0, 1, 2)), 27, None),
     "weak-schur-r3-n24": (
@@ -395,14 +407,3 @@ def test_bench_boxes_pinned(backend, label, monkeypatch):
         assert outcome.status == AVOIDABLE
         assert hashlib.sha256(bytes(outcome.witness.colors)).hexdigest() == digest
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_search_that_never_backtracks_keeps_its_witness(backend, monkeypatch):
-    # this box is decided with no dead end, so the fail-first rule never
-    # acts: the digest is the one the static branching order gave
-    monkeypatch.setattr("rado.kernel.default_backend", lambda: backend)
-    outcome = find_avoiding_coloring(SearchProblem(FLAGSHIP, colors=3, mask=(0, 1, 2)), 12)
-    assert outcome.status == AVOIDABLE
-    assert hashlib.sha256(bytes(outcome.witness.colors)).hexdigest() == (
-        "1e24d27df9344a4fbf793d11f28d0fe5d80cdfe0f62ad1b3568e4d636b9771d8"
-    )
