@@ -43,8 +43,8 @@ never does, so the filter passes the mask and its rest does not see the
 bit.  The masks that pass are tested in the same order as without the
 filter, so every decision is unchanged.  A colored point's forbidden colors
 are the sentinel -1, every bit set, so "colored, or g already forbidden" is
-one ``&``; the last point of a rest and the one color a point has left are
-looked up in dicts.
+one ``&``; the last point of a rest is its bit length less one, and the one
+color a point has left is looked up in a dict.
 
 Each branch point snapshots the coloring, the forbidden colors and the
 ``notcol`` sets before its first color and restores them before each further
@@ -122,7 +122,6 @@ def solve(
     public dispatcher checks and the search's build guarantees.
     """
     bits = [1 << p for p in range(num_points)]
-    point_of = {b: p for p, b in enumerate(bits)}
     # every mask of at most two points also holds the phantom bit, which
     # `every` has and no notcol set ever has: see the module docstring
     phantom = 1 << num_points
@@ -166,7 +165,7 @@ def solve(
                     return False
                 if rest & (rest - 1):
                     continue
-                last = point_of[rest]
+                last = rest.bit_length() - 1
                 fb = forbid[last]
                 if fb & bit:
                     continue

@@ -45,6 +45,15 @@ degeneracy filter cuts the last list's rows of form f out of the bases whose
 outer rows all have form f; in one dimension every tuple is degenerate and
 nothing is built.  No set is built and then removed, and no set is decoded
 into points.
+
+Masked positions whose columns are equal in every coordinate system are
+twins, as x and y are in x + y = z: swapping twin variables in all
+coordinates at once maps each solution tuple to one with the same point
+set.  So the first list keeps only its rows that do not decrease along each
+class of twins.  Every orbit of such swaps still has a tuple whose first
+row is so ordered, which projects to the orbit's one set, so no set is
+lost, and each set is built once per orbit instead of once per order of its
+twin values.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, Iterator
@@ -135,9 +144,7 @@ class DegeneracyReport:
 
 
 def _primitive(point: Point) -> Point:
-    g = 0
-    for c in point:
-        g = gcd(g, c)
+    g = gcd(*point)
     return tuple(c // g for c in point)
 
 
@@ -321,7 +328,9 @@ def _index_contributions(lists: list[Rows], n: int) -> list[Rows]:
     out = []
     for i, rows in enumerate(lists):
         place = n ** (d - 1 - i)
-        out.append({tuple((x - 1) * place for x in row): w for row, w in rows.items()})
+        # table[x]: the contribution of coordinate value x, for x in [1, n]
+        table = [(x - 1) * place for x in range(n + 1)]
+        out.append({tuple(map(table.__getitem__, row)): w for row, w in rows.items()})
     return out
 
 
@@ -352,6 +361,14 @@ def _point_sets(
     """Distinct masked point-index sets of the solution tuples in [1,n]^d,
     as sorted tuples (see the module docstring), keyed in build order.
 
+    Of the first list only the rows that do not decrease along each class
+    of twin positions (equal columns in every coordinate system) are kept:
+    swapping twins in all coordinates keeps a tuple's point set, and every
+    orbit of swaps has one tuple so ordered, so no set is lost.  Rows with
+    equal twin values stay, and their sets merge as any repeated point
+    does.  The first list may be shared with other coordinates
+    (``_coordinate_solutions``), so it is filtered into a new dict.
+
     A set is a base plus one row of the last list, summed column by column,
     in the argsort order of the base; only sets on a tied base (one
     dimension, or masked points that share their leading coordinates) are
@@ -365,6 +382,14 @@ def _point_sets(
     lists = _coordinate_solutions(system, n, mask, budget)
     if exclude_degenerate and len(lists) == 1:
         return {}
+    classes = defaultdict(list)
+    for pos, j in enumerate(mask):
+        classes[tuple(s.column(j) for s in system.coordinate_systems)].append(pos)
+    twins = [pair for members in classes.values() for pair in zip(members, members[1:])]
+    if twins:
+        lists[0] = {
+            row: w for row, w in lists[0].items() if all(row[p] <= row[q] for p, q in twins)
+        }
     width = len(mask)
     contributions = _index_contributions(lists, n)
     *outer, last = contributions
@@ -384,18 +409,19 @@ def _point_sets(
                     bases = {tuple(map(add, b, c)) for b in bases for c in groups[form]}
                 spans.update(dict.fromkeys(bases, span))
     columns = list(zip(*last))
-    sets: dict[tuple[int, ...], None] = {}
-    for base in _base_sums(outer, width):
+
+    def run(base: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         cols = columns
         if base in spans:
             lo, hi = spans[base]
             cols = [c[:lo] + c[hi:] for c in columns]
         order = sorted(range(width), key=base.__getitem__)
-        sums = zip(*[map(base[j].__add__, cols[j]) for j in order])
+        sums = zip(*[map(add, repeat(base[j]), cols[j]) for j in order])
         if len(set(base)) < width:
             sums = map(tuple, map(sorted, map(set, sums)))
-        sets.update(zip(sums, repeat(None)))
-    return sets
+        return sums
+
+    return dict.fromkeys(chain.from_iterable(map(run, _base_sums(outer, width))))
 
 
 def enumerate_vector_solutions(

@@ -182,21 +182,33 @@ def naive_monochromatic_counts(systems_rows, n, mask, colors, r):
     return counts
 
 
-def naive_constraints(systems_rows, n, mask, distinct, nondegenerate):
-    """Minimal masked point-index sets of all solution grids, built literally.
+def naive_point_sets(systems_rows, n, mask, nondegenerate):
+    """Distinct masked point-index sets of all solution grids, built literally.
 
     Each grid gives the set of its masked points (column j of the grid is
-    point j), indexed lexicographically over [1,n]^d; a set is dropped when
-    some other set is a proper subset of it.  Sorted by (size, indices).
+    point j), indexed lexicographically over [1,n]^d, as a sorted tuple.
     """
     sets = set()
     for rows in naive_vector_solutions(systems_rows, n):
         pts = set(masked_points(rows, mask))
-        if distinct and len(pts) < len(mask):
-            continue
         if nondegenerate and degenerate_oracle(pts):
             continue
-        sets.add(frozenset(lex_index(p, n) for p in pts))
+        sets.add(tuple(sorted(lex_index(p, n) for p in pts)))
+    return sets
+
+
+def naive_constraints(systems_rows, n, mask, distinct, nondegenerate):
+    """Minimal sets of ``naive_point_sets``, with one point per masked
+    position when `distinct`.
+
+    A set is dropped when some other set is a proper subset of it.  Sorted
+    by (size, indices).
+    """
+    sets = {
+        frozenset(s)
+        for s in naive_point_sets(systems_rows, n, mask, nondegenerate)
+        if not distinct or len(s) == len(mask)
+    }
     minimal = [a for a in sets if not any(b < a for b in sets)]
     return tuple(sorted((tuple(sorted(a)) for a in minimal), key=lambda t: (len(t), t)))
 

@@ -6,13 +6,20 @@ import sys
 from collections import Counter
 
 import pytest
-from oracles import naive_constraints, plain_scan
+from oracles import naive_constraints, naive_point_sets, plain_scan
 
 from rado.dpll import parse_dimacs, solve_cnf
 from rado.errors import BudgetExceededError, DimensionMismatchError
 from rado.exactmath import rref
 from rado.kernel import available_backends, solve_avoidability
-from rado.lattice import Coloring, count_monochromatic, is_degenerate, point_index
+from rado.lattice import (
+    DEFAULT_BUDGET,
+    Coloring,
+    _point_sets,
+    count_monochromatic,
+    is_degenerate,
+    point_index,
+)
 from rado.search import (
     AVOIDABLE,
     TRIVIALLY_UNAVOIDABLE,
@@ -45,6 +52,10 @@ TIED_DUMMY = VectorSystem.from_rows([[[1, 1, -1, 0], [2, 0, 0, -1]], [[1, 1, -1,
 # coordinates differ, so a base's outer rows can have mixed primitive forms
 SUM_AP_SUM = VectorSystem((SCHUR_W, PROGRESSION, SCHUR_W))
 AP4 = ScalarSystem.from_rows([[-1, 1, 0, 0, -1], [0, -1, 1, 0, -1], [0, 0, -1, 1, -1]])
+# x + y + z = w: one class of three twin columns, so each solution tuple
+# comes in up to six orders of its summands
+SUM3 = ScalarSystem.from_rows([[1, 1, 1, -1]])
+DIAG_SUM3 = VectorSystem.diagonal(SUM3, 2)
 
 SCHUR_1D = SearchProblem(VectorSystem((SCHUR,)), colors=2)
 VDW = SearchProblem(VectorSystem((PROGRESSION,)), colors=2, mask=(0, 1, 2))
@@ -151,6 +162,11 @@ BUILD_PROBLEMS = {
     "flagship-mask-0,1,2-nondegenerate-distinct": SearchProblem(
         MOTIVATING, mask=(0, 1, 2), exclude_degenerate=True, require_distinct=True
     ),
+    "sum-of-three": SearchProblem(VectorSystem((SUM3,))),
+    "diagonal-sum-of-three": SearchProblem(DIAG_SUM3),
+    "diagonal-sum-of-three-nondegenerate": SearchProblem(DIAG_SUM3, exclude_degenerate=True),
+    # the mask keeps x but not its twin y, so no twin rule applies
+    "schur-mask-0,2": SearchProblem(VectorSystem((SCHUR,)), mask=(0, 2)),
 }
 
 # largest n at which the brute-force oracle is compared, per problem
@@ -175,6 +191,10 @@ ORACLE_MAX_N = {
     "sum-ap-sum-3d-nondegenerate": 3,
     "sum-ap-sum-3d-mask-0,1,2-nondegenerate": 4,
     "flagship-mask-0,1,2-nondegenerate-distinct": 5,
+    "sum-of-three": 12,
+    "diagonal-sum-of-three": 7,
+    "diagonal-sum-of-three-nondegenerate": 7,
+    "schur-mask-0,2": 12,
 }
 
 
@@ -190,6 +210,21 @@ def test_build_matches_oracle(label, n):
         rows, n, problem.mask, problem.require_distinct, problem.exclude_degenerate
     )
     assert build_constraints(problem, n).constraints == expected
+
+
+@pytest.mark.parametrize("label, n", ORACLE_MAX_N.items())
+def test_projection_keeps_every_point_set(label, n):
+    # domination can hide a lost set from the build's output, so the
+    # projection is compared before it: a twin filter that drops rows of
+    # some orbit, or filters a list that another coordinate shares, loses
+    # sets that no other set contains
+    problem = BUILD_PROBLEMS[label]
+    rows = [s.coeffs for s in problem.system.coordinate_systems]
+    expected = naive_point_sets(rows, n, problem.mask, problem.exclude_degenerate)
+    sets = _point_sets(
+        problem.system, n, problem.mask, DEFAULT_BUDGET, problem.exclude_degenerate
+    )
+    assert set(sets) == expected
 
 
 # sha256 of repr(build_constraints(problem, n).constraints) for the benchmark's
@@ -375,6 +410,21 @@ class TestRadoNumber:
         )
         assert base.value == 5
         assert harder.value >= base.value
+
+    @pytest.mark.parametrize(
+        "problem, value",
+        [
+            # the 2-color Schur number of x_1 + ... + x_{m-1} = x_m is
+            # m^2 - m - 1 (Beutelspacher and Brestovansky, 1982), 11 for m = 4
+            (SearchProblem(VectorSystem((SUM3,)), colors=2), 11),
+            (SearchProblem(DIAG_SUM3, colors=2, exclude_degenerate=True), 13),
+        ],
+        ids=["sum-of-three", "diagonal-sum-of-three-nondegenerate"],
+    )
+    def test_sum_of_three(self, problem, value):
+        result = rado_number(problem, 14)
+        assert result.value == value
+        assert verify_witness(problem, result.witness).passed
 
 
 # perfbench's scan workload: rado_number up to max_n, and the number of
