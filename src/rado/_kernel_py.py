@@ -25,25 +25,29 @@ Algorithm: depth-first search over the supplied branching order with
   0..g-1 already occur on the current path (forced assignments keep this
   canonical automatically, since a color can only be forbidden after it has
   been used), which stays sound under any branching order;
-* unit-style propagation on bitsets: every constraint is one int mask of its
-  points, and ``notcol[g]`` is the set of points not colored g.  Coloring q
-  with g clears q from ``notcol[g]`` and intersects it with each mask of q:
-  an empty rest means a monochromatic constraint (backtrack), and a rest of
-  one uncolored point has g forbidden there; a point with only one color
-  left is assigned immediately.
+* unit-style propagation by constraint shape: ``notcol[g]`` is the set of
+  points not colored g, as an int bitset.  Coloring q with g clears q from
+  ``notcol[g]`` and visits q's constraints: when no point is left that is
+  not colored g, the constraint is monochromatic (backtrack), and when one
+  uncolored point is left, g is forbidden there; a point with only one
+  color left is assigned immediately.
 
-Most masks of q hold no other point colored g, so their rest has two points
-or more and they are passed over.  A filter finds them with one ``&``
-before any rest is built: ``seen``, the points already colored g, is taken
-before q is cleared, and a mask that shares no bit with it is skipped.  A
-mask of at most two points must never be skipped, since its other point
-loses g even when no point had g before, so such a mask also holds the
-phantom bit ``1 << num_points``: ``seen`` always has it and ``notcol``
-never does, so the filter passes the mask and its rest does not see the
-bit.  The masks that pass are tested in the same order as without the
-filter, so every decision is unchanged.  A colored point's forbidden colors
-are the sentinel -1, every bit set, so "colored, or g already forbidden" is
-one ``&``; the last point of a rest is its bit length less one, and the one
+Each point's constraints are sorted by their number of distinct points, a
+repeated point counting once, into three lists, each visited in its own
+loop.  A constraint of one distinct point is unavoidable; the dispatcher
+and the search answer it, so it never reaches the kernel.  A pair is stored
+as its other point, which loses g outright: a conflict when it is already
+colored g.  Triples and larger sets are int masks of their points, and most
+hold no other point colored g, so their rest has two points or more and
+they are passed over.  A filter finds them with one ``&`` before any rest
+is built: ``seen``, the points already colored g, is taken before q is
+cleared, and a mask that shares no bit with it is skipped.  A triple that
+passes has at most one point left, so its rest is empty or that point;
+larger masks still test for a rest of two points or more.  Propagation
+reaches the same fixpoint, or a conflict, in any visiting order, so the
+shapes change no decision.  A colored point's forbidden colors are the
+sentinel -1, every bit set, so "colored, or g already forbidden" is one
+``&``; the last point of a rest is its bit length less one, and the one
 color a point has left is looked up in a dict.
 
 Each branch point snapshots the coloring, the forbidden colors and the
@@ -52,7 +56,7 @@ one, so nothing is undone step by step; a branch point that fails leaves its
 state for its caller to restore.  The snapshots cost memory and copy time of
 depth x points: ``solve(2000, 2, [], range(2000))`` opens 2,000 branch
 points and peaks at about 66 MB (tracemalloc), where the C kernel's trail
-stays under 1 MB.  Tried colors ascend and each point's constraints are
+stays under 1 MB.  Tried colors ascend and each of a point's lists is
 visited in input order, so the search is deterministic.
 """
 
@@ -69,41 +73,50 @@ LOOKAHEAD = 8
 
 def _point_masks(
     num_points: int, constraints: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """Per point, the mask of every constraint holding it, in constraint order.
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Per point, its constraints by shape, each list in constraint order.
 
-    A constraint is listed once per occurrence of the point in it, and a mask
-    of at most two distinct points holds the phantom bit ``1 << num_points``.
-    Pairs and triples are unpacked rather than walked; a triple with a
-    repeated point is at most a pair.
+    Returns ``(pairs, triples, larger)``: ``pairs[p]`` holds the other point
+    of every constraint of two distinct points holding p, ``triples[p]`` and
+    ``larger[p]`` the masks of those of three and of four or more distinct
+    points.  A constraint is listed once per distinct point, so a repeated
+    point counts once: (0, 1, 1) is a pair.  Pairs and triples are unpacked
+    rather than walked; a two-entry constraint is always a pair, since a
+    singleton never reaches the kernel.
     """
     bits = [1 << p for p in range(num_points)]
-    phantom = 1 << num_points
-    masks: list[list[int]] = [[] for _ in range(num_points)]
+    pairs: list[list[int]] = [[] for _ in range(num_points)]
+    triples: list[list[int]] = [[] for _ in range(num_points)]
+    larger: list[list[int]] = [[] for _ in range(num_points)]
     for c in constraints:
         size = len(c)
         if size == 2:
             a, b = c
-            m = bits[a] | bits[b] | phantom
-            masks[a].append(m)
-            masks[b].append(m)
         elif size == 3:
             a, b, e = c
-            m = bits[a] | bits[b] | bits[e]
-            if a == b or b == e or a == e:
-                m |= phantom
-            masks[a].append(m)
-            masks[b].append(m)
-            masks[e].append(m)
+            if a != b != e != a:
+                m = bits[a] | bits[b] | bits[e]
+                triples[a].append(m)
+                triples[b].append(m)
+                triples[e].append(m)
+                continue
+            if a == b:
+                b = e
         else:
-            m = 0
-            for pt in c:
-                m |= bits[pt]
-            if m.bit_count() <= 2:
-                m |= phantom
-            for pt in c:
-                masks[pt].append(m)
-    return masks
+            distinct = dict.fromkeys(c)
+            if len(distinct) == 2:
+                a, b = distinct
+            else:
+                m = 0
+                for pt in distinct:
+                    m |= bits[pt]
+                shape = triples if len(distinct) == 3 else larger
+                for pt in distinct:
+                    shape[pt].append(m)
+                continue
+        pairs[a].append(b)
+        pairs[b].append(a)
+    return pairs, triples, larger
 
 
 def solve(
@@ -114,25 +127,24 @@ def solve(
 ) -> tuple[bool, list[int] | None]:
     """Return (avoidable, assignment); assignment colors every point, -1 kept as 0.
 
-    `constraints` must not contain singletons: a singleton is unavoidable,
-    and the dispatcher and the search answer it without a kernel.  `order`
+    Every constraint must hold two distinct points or more: one of a single
+    point is unavoidable, and the dispatcher and the search answer it without
+    a kernel.  `order`
     lists the points the search may branch on; points outside it are only
     colored by propagation.  `colors` lies in 1..62, which the backend
     selection checks, and every point index in [0, num_points), which the
     public dispatcher checks and the search's build guarantees.
     """
     bits = [1 << p for p in range(num_points)]
-    # every mask of at most two points also holds the phantom bit, which
-    # `every` has and no notcol set ever has: see the module docstring
-    phantom = 1 << num_points
-    every = phantom | (phantom - 1)
-    # masks[p]: the mask of every constraint holding p, in constraint order
-    masks = _point_masks(num_points, constraints)
+    all_points = (1 << num_points) - 1
+    # per point, by shape: the other point of each pair, the masks of the
+    # triples and of the larger sets
+    pairs, triples, larger = _point_masks(num_points, constraints)
 
     color = [-1] * num_points
     # a colored point's forbidden colors are -1, all bits set
     forbid = [0] * num_points
-    notcol = [phantom - 1] * colors
+    notcol = [all_points] * colors
     full_mask = (1 << colors) - 1
     # forced[fb]: the one color a point with forbidden colors fb has left
     forced = {full_mask ^ (1 << g): g for g in range(colors)}
@@ -153,11 +165,40 @@ def solve(
             if h >= introduced:
                 introduced = h + 1
             nc = notcol[h]
-            seen = every ^ nc
+            # not ~nc: & with a negative int is slower
+            seen = all_points ^ nc
             nc ^= bits[q]
             notcol[h] = nc
             bit = 1 << h
-            for m in masks[q]:
+            for other in pairs[q]:
+                fb = forbid[other]
+                if fb & bit:
+                    if color[other] == h:
+                        return False
+                    continue
+                fb |= bit
+                forbid[other] = fb
+                if fb == full_mask:
+                    return False
+                if fb in forced:
+                    queue.append((other, forced[fb]))
+            for m in triples[q]:
+                if not m & seen:
+                    continue
+                rest = m & nc
+                if not rest:
+                    return False
+                last = rest.bit_length() - 1
+                fb = forbid[last]
+                if fb & bit:
+                    continue
+                fb |= bit
+                forbid[last] = fb
+                if fb == full_mask:
+                    return False
+                if fb in forced:
+                    queue.append((last, forced[fb]))
+            for m in larger[q]:
                 if not m & seen:
                     continue
                 rest = m & nc

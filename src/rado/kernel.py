@@ -4,10 +4,12 @@ The compiled extension ``_kernel_c`` (one hand-written C file built by
 ``setup.py``) is preferred when it imported successfully; pass
 ``backend="python"`` to ``solve_avoidability`` to run the pure-Python
 implementation instead.  When a point is colored h, both reach the same
-verdict on each of its constraints in the same order: the C kernel counts
-the constraint's points not colored h, stopping at two, while the Python
-kernel skips a constraint with no other point colored h and intersects
-bitsets for the rest.  They restore state on backtracking differently: the
+verdict on each of its constraints, and so the same fixpoint or conflict:
+the C kernel visits them in input order and counts each one's distinct
+points not colored h, stopping at two, while the Python kernel visits them
+by shape, first the pairs, each forbidding h at its other point, then
+triples and larger sets as bitsets, passing over those with no other point
+colored h.  They restore state on backtracking differently: the
 Python kernel snapshots it per branch point, the C kernel trails every
 change.  They follow the identical deterministic decision sequence, so
 results do not depend on the choice: both branch on the first uncolored
@@ -78,6 +80,12 @@ def solve_avoidability(
     or a point index, in a constraint or in `order`, outside [0, num_points).
     A constraint of one distinct point is monochromatic under every coloring,
     so it gives (False, None) without a search.
+
+    With an `order` that leaves constrained points out, True only means that
+    the listed points color without a conflict; points never reached are
+    reported as 0.  For example ``solve_avoidability(4, 3, [(0, 1), (0, 2),
+    (0, 3), (1, 2), (1, 3), (2, 3)], [])`` returns (True, [0, 0, 0, 0]),
+    although no 3-coloring of these four points avoids every pair.
     """
     fn = _kernel(backend, colors)
     if not all(constraints):

@@ -5,6 +5,7 @@ import random
 import re
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +216,14 @@ def test_looks_for_two_colors_left_only_near_the_front(backend):
     )
 
 
+def test_lookahead_is_equal_in_both_kernels():
+    # the window tests would still pass with a smaller C window, so the
+    # define itself is compared
+    source = Path(__file__).resolve().parent.parent / "src" / "rado" / "_kernel_c.c"
+    (value,) = re.findall(r"^#define LOOKAHEAD (\d+)\b", source.read_text(), re.M)
+    assert int(value) == _kernel_py.LOOKAHEAD
+
+
 def fail_first_instances():
     """300 random (num_points, colors, constraints, order) instances.
 
@@ -321,6 +330,66 @@ def test_backends_match_on_propagation_and_partial_orders():
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == PROPAGATION_ANSWERS
 
 
+def repeated_point_instances():
+    """300 random (num_points, colors, constraints, order) instances.
+
+    Constraints are drawn with replacement, so they often repeat a point:
+    (0, 1, 1) has two distinct points and must propagate as the pair
+    (0, 1).  Each has 2 to 5 entries and at least two distinct points.
+    Orders are shuffled and half of them partial.  Small enough for
+    ``avoidable_all_colorings``.
+    """
+    rng = random.Random(25)
+    for _ in range(300):
+        num_points = rng.randint(2, 7)
+        r = rng.randint(1, 4)
+        draws = [
+            tuple(rng.choices(range(num_points), k=rng.randint(2, 5)))
+            for _ in range(rng.randint(1, 3 * num_points))
+        ]
+        cons = [c for c in draws if len(set(c)) > 1]
+        order = rng.sample(range(num_points), num_points)
+        if rng.random() < 0.5:
+            order = order[: rng.randint(0, num_points)]
+        yield num_points, r, cons, order
+
+
+def test_backends_match_on_repeated_points():
+    statuses = set()
+    repeated = 0
+    for num_points, r, cons, order in repeated_point_instances():
+        results = {
+            backend: solve_avoidability(num_points, r, cons, order, backend=backend)
+            for backend in BACKENDS
+        }
+        ok, colors = results["python"]
+        assert all(res == (ok, colors) for res in results.values()), (
+            num_points, r, cons, order, results,
+        )
+        if len(order) == num_points:
+            assert ok == avoidable_all_colorings(num_points, r, cons), (
+                num_points, r, cons, order,
+            )
+            if ok:
+                assert check_witness(cons, colors), (num_points, r, cons, order, colors)
+        statuses.add(ok)
+        repeated += any(len(set(c)) < len(c) for c in cons)
+    assert statuses == {True, False}
+    assert repeated > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_repeated_last_point_loses_the_color(backend):
+    # 0 takes 0, and (0, 1, 1) forbids 0 at 1 as the pair (0, 1) would, so
+    # 1 has two colors left and takes 1; counting the entries of (0, 1, 1)
+    # rather than its distinct points would leave 1 free to take 0 and
+    # answer [0, 2, 1]
+    cons = [(0, 0, 2), (0, 1, 1), (1, 1, 2)]
+    assert solve_avoidability(3, 3, cons, [0, 1, 2], backend=backend) == (
+        True, [0, 1, 2],
+    )
+
+
 def test_answers_do_not_depend_on_constraint_order():
     # propagation reaches the same fixpoint, or a conflict, whatever order
     # the constraints and their points are visited in, and the branch points
@@ -336,9 +405,11 @@ def test_answers_do_not_depend_on_constraint_order():
 
 
 def test_point_masks_match_a_walk_of_every_constraint():
-    # pairs and triples are unpacked, not walked; each point's list must
-    # still hold the same masks in the same order, a repeated point's
-    # constraint once per occurrence, as the C kernel visits them
+    # pairs and triples are unpacked, not walked; each point's lists must
+    # still hold every constraint of its shape, by distinct points, in
+    # constraint order and once per distinct point, as the C kernel visits
+    # them.  One-point constraints never reach the kernel, so they are
+    # dropped from the draws.
     rng = random.Random(5)
     for _ in range(300):
         num_points = rng.randint(1, 12)
@@ -346,14 +417,20 @@ def test_point_masks_match_a_walk_of_every_constraint():
             tuple(rng.choices(range(num_points), k=rng.randint(1, 5)))
             for _ in range(rng.randint(0, 30))
         ]
-        phantom = 1 << num_points
-        expected = [[] for _ in range(num_points)]
+        cons = [c for c in cons if len(set(c)) > 1]
+        expected = tuple([[] for _ in range(num_points)] for _ in range(3))
+        pairs, triples, larger = expected
         for c in cons:
-            m = sum(1 << p for p in set(c))
-            if len(set(c)) <= 2:
-                m |= phantom
-            for p in c:
-                expected[p].append(m)
+            points = set(c)
+            m = sum(1 << p for p in points)
+            for p in points:
+                if len(points) == 2:
+                    (other,) = points - {p}
+                    pairs[p].append(other)
+                elif len(points) == 3:
+                    triples[p].append(m)
+                else:
+                    larger[p].append(m)
         assert _kernel_py._point_masks(num_points, cons) == expected, cons
 
 
