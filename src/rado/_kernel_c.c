@@ -2,29 +2,24 @@
 
    Mirrors _kernel_py.solve decision for decision; see that module for the
    algorithm.  Both must stay in lockstep so that status and assignment do
-   not depend on the backend.  This module trusts its arguments:
-   kernel._kernel checks that colors is in 1..62, and every point index
-   lies in [0, num_points) by the check of the public dispatcher,
-   kernel.solve_avoidability, or by construction when
-   search.find_avoiding_coloring calls the kernel.
+   not depend on the backend.  This module trusts its arguments to meet
+   the contract stated in kernel.py.
 
    Constraints are stored CSR-style: constraint i is
    con_data[con_off[i] .. con_off[i+1]), and the constraints containing
    point q are adj_data[adj_off[q] .. adj_off[q+1]), in increasing order.
-   Each distinct point of a constraint is stored once.  When a point is
-   colored h, both kernels reach the same verdict on each of its
-   constraints, and so the same fixpoint or conflict: assign() below visits
-   them in input order and counts each one's points not colored h, stopping
-   at two, while _kernel_py visits them by shape (pairs, triples, larger
-   sets) and intersects bitsets for the sets.  They restore state
+   When a point is colored h, both kernels reach the same verdict on each
+   of its constraints, and so the same fixpoint or conflict: assign() below
+   visits them in input order and counts each one's points not colored h,
+   stopping at two, while _kernel_py visits them by shape (pairs, triples,
+   larger sets) and intersects bitsets for the sets.  They restore state
    differently: _kernel_py snapshots it per branch point, while here every
    assignment and every forbidden color bit is trailed, so undo() restores
-   the state exactly.  Both branch the same way: on the
-   first uncolored point with exactly two colors left (popcount64 of its
-   forbidden colors is colors - 2) among the next LOOKAHEAD entries of the
-   order, and on the next uncolored point when there is none.  The DFS
-   polls for signals every SIGNAL_CHECK_MASK + 1 calls, so Ctrl-C stops a
-   long search. */
+   the state exactly.  Both branch the same way: on the first uncolored
+   point with exactly two colors left (popcount64 of its forbidden colors
+   is colors - 2) among the next LOOKAHEAD entries of the order, and on
+   the next uncolored point when there is none.  The DFS polls for signals
+   every SIGNAL_CHECK_MASK + 1 calls, so Ctrl-C stops a long search. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -120,27 +115,17 @@ engine_init(Engine *e, int num_points, int colors, PyObject *constraints,
     e->forbid = e->words;
     e->forb_bits = e->words + num_points;
 
-    /* each distinct point of a constraint is kept once, in first-occurrence
-       order, so (0, 1, 1) is the pair (0, 1), as in _kernel_py */
     for (i = 0; i < ncon; i++) {
         PyObject *c = PyList_GET_ITEM(fast, i);
-        int *data = e->con_data + e->con_off[i];
-        Py_ssize_t k, len = PySequence_Fast_GET_SIZE(c), kept = 0;
-        if (copy_ints(c, data) < 0)
+        e->con_off[i + 1] = e->con_off[i] + (int)PySequence_Fast_GET_SIZE(c);
+        if (copy_ints(c, e->con_data + e->con_off[i]) < 0)
             goto done;
-        for (j = 0; j < len; j++) {
-            for (k = 0; k < kept && data[k] != data[j]; k++)
-                ;
-            if (k == kept)
-                data[kept++] = data[j];
-        }
-        e->con_off[i + 1] = e->con_off[i] + (int)kept;
     }
     if (copy_ints(ord, e->order) < 0)
         goto done;
 
     /* counting sort of constraint memberships into the per-point adjacency */
-    for (j = 0; j < e->con_off[ncon]; j++)
+    for (j = 0; j < total; j++)
         e->adj_off[e->con_data[j] + 2]++;
     for (i = 2; i < num_points + 2; i++)
         e->adj_off[i] += e->adj_off[i - 1];
@@ -168,9 +153,9 @@ popcount64(u64 x)
 }
 
 /* Color point with g and propagate; 0 on a conflict.  Each constraint of a
-   newly colored point q gets _kernel_py's verdict: its distinct points not
-   colored h are counted, stopping at two.  None means a monochromatic
-   constraint; one that is still uncolored has h forbidden. */
+   newly colored point q gets _kernel_py's verdict: its points not colored
+   h are counted, stopping at two.  None means a monochromatic constraint;
+   one that is still uncolored has h forbidden. */
 static int
 assign(Engine *e, int point, int g)
 {

@@ -5,9 +5,7 @@ colors so that no constraint (a set of point indices) is monochromatic.
 This is the reference implementation; the compiled twin, the hand-written
 C extension ``_kernel_c``, must follow the identical decision sequence so
 that both return the same status and, on success, the same assignment.
-Arguments are trusted: ``kernel._kernel`` checks the color count, and the
-point indices are in range by the public dispatcher's check or by the build
-(see ``kernel``).
+Arguments are trusted to meet the contract stated in ``kernel``.
 
 Algorithm: depth-first search over the supplied branching order with
 
@@ -32,29 +30,27 @@ Algorithm: depth-first search over the supplied branching order with
   uncolored point is left, g is forbidden there; a point with only one
   color left is assigned immediately.
 
-Each point's constraints are sorted by their number of distinct points, a
-repeated point counting once, into three lists, each visited in its own
-loop.  A constraint of one distinct point is unavoidable; the dispatcher
-and the search answer it, so it never reaches the kernel.  A pair is stored
-as its other point, which loses g outright: a conflict when it is already
-colored g.  Triples and larger sets are int masks of their points, and most
-hold no other point colored g, so their rest has two points or more and
-they are passed over.  A filter finds them with one ``&`` before any rest
-is built: ``seen``, the points already colored g, is taken before q is
-cleared, and a mask that shares no bit with it is skipped.  A triple that
-passes has at most one point left, so its rest is empty or that point;
-larger masks still test for a rest of two points or more.  Propagation
-reaches the same fixpoint, or a conflict, in any visiting order, so the
-shapes change no decision.  A colored point's forbidden colors are the
-sentinel -1, every bit set, so "colored, or g already forbidden" is one
-``&``; the last point of a rest is its bit length less one, and the one
-color a point has left is looked up in a dict.
+Each point's constraints are sorted by their number of points into three
+lists, each visited in its own loop.  A pair is stored as its other point,
+which loses g outright: a conflict when it is already colored g.  Triples
+and larger sets are int masks of their points, and most hold no other point
+colored g, so their rest has two points or more and they are passed over.
+A filter finds them with one ``&`` before any rest is built: ``seen``, the
+points already colored g, is taken before q is cleared, and a mask that
+shares no bit with it is skipped.  A triple that passes has at most one
+point left, so its rest is empty or that point; larger masks still test for
+a rest of two points or more.  Propagation reaches the same fixpoint, or a
+conflict, in any visiting order, so the shapes change no decision.  A
+colored point's forbidden colors are the sentinel -1, every bit set, so
+"colored, or g already forbidden" is one ``&``; the last point of a rest is
+its bit length less one, and the one color a point has left is looked up in
+a dict.
 
 Each branch point snapshots the coloring, the forbidden colors and the
 ``notcol`` sets before its first color and restores them before each further
 one, so nothing is undone step by step; a branch point that fails leaves its
 state for its caller to restore.  The snapshots cost memory and copy time of
-depth x points: ``solve(2000, 2, [], range(2000))`` opens 2,000 branch
+depth x points: ``solve(2000, 2, [], list(range(2000)))`` opens 2,000 branch
 points and peaks at about 66 MB (tracemalloc), where the C kernel's trail
 stays under 1 MB.  Tried colors ascend and each of a point's lists is
 visited in input order, so the search is deterministic.
@@ -77,12 +73,9 @@ def _point_masks(
     """Per point, its constraints by shape, each list in constraint order.
 
     Returns ``(pairs, triples, larger)``: ``pairs[p]`` holds the other point
-    of every constraint of two distinct points holding p, ``triples[p]`` and
-    ``larger[p]`` the masks of those of three and of four or more distinct
-    points.  A constraint is listed once per distinct point, so a repeated
-    point counts once: (0, 1, 1) is a pair.  Pairs and triples are unpacked
-    rather than walked; a two-entry constraint is always a pair, since a
-    singleton never reaches the kernel.
+    of every constraint of two points holding p, ``triples[p]`` and
+    ``larger[p]`` the masks of those of three and of four or more points.
+    Pairs and triples are unpacked rather than walked.
     """
     bits = [1 << p for p in range(num_points)]
     pairs: list[list[int]] = [[] for _ in range(num_points)]
@@ -92,30 +85,20 @@ def _point_masks(
         size = len(c)
         if size == 2:
             a, b = c
+            pairs[a].append(b)
+            pairs[b].append(a)
         elif size == 3:
             a, b, e = c
-            if a != b != e != a:
-                m = bits[a] | bits[b] | bits[e]
-                triples[a].append(m)
-                triples[b].append(m)
-                triples[e].append(m)
-                continue
-            if a == b:
-                b = e
+            m = bits[a] | bits[b] | bits[e]
+            triples[a].append(m)
+            triples[b].append(m)
+            triples[e].append(m)
         else:
-            distinct = dict.fromkeys(c)
-            if len(distinct) == 2:
-                a, b = distinct
-            else:
-                m = 0
-                for pt in distinct:
-                    m |= bits[pt]
-                shape = triples if len(distinct) == 3 else larger
-                for pt in distinct:
-                    shape[pt].append(m)
-                continue
-        pairs[a].append(b)
-        pairs[b].append(a)
+            m = 0
+            for pt in c:
+                m |= bits[pt]
+            for pt in c:
+                larger[pt].append(m)
     return pairs, triples, larger
 
 
@@ -127,13 +110,9 @@ def solve(
 ) -> tuple[bool, list[int] | None]:
     """Return (avoidable, assignment); assignment colors every point, -1 kept as 0.
 
-    Every constraint must hold two distinct points or more: one of a single
-    point is unavoidable, and the dispatcher and the search answer it without
-    a kernel.  `order`
-    lists the points the search may branch on; points outside it are only
-    colored by propagation.  `colors` lies in 1..62, which the backend
-    selection checks, and every point index in [0, num_points), which the
-    public dispatcher checks and the search's build guarantees.
+    The arguments meet the contract stated in ``kernel``.  `order` lists the
+    points the search may branch on; points outside it are only colored by
+    propagation.
     """
     bits = [1 << p for p in range(num_points)]
     all_points = (1 << num_points) - 1

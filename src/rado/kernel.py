@@ -5,30 +5,35 @@ The compiled extension ``_kernel_c`` (one hand-written C file built by
 ``backend="python"`` to ``solve_avoidability`` to run the pure-Python
 implementation instead.  When a point is colored h, both reach the same
 verdict on each of its constraints, and so the same fixpoint or conflict:
-the C kernel visits them in input order and counts each one's distinct
-points not colored h, stopping at two, while the Python kernel visits them
-by shape, first the pairs, each forbidding h at its other point, then
-triples and larger sets as bitsets, passing over those with no other point
-colored h.  They restore state on backtracking differently: the
-Python kernel snapshots it per branch point, the C kernel trails every
-change.  They follow the identical deterministic decision sequence, so
-results do not depend on the choice: both branch on the first uncolored
-point with exactly two colors left among the next ``_kernel_py.LOOKAHEAD``
-entries of the supplied order, and on the next uncolored point when there
-is none (see ``_kernel_py``).
+the C kernel visits them in input order and counts each one's points not
+colored h, stopping at two, while the Python kernel visits them by shape,
+first the pairs, each forbidding h at its other point, then triples and
+larger sets as bitsets, passing over those with no other point colored h.
+They restore state on backtracking differently: the Python kernel
+snapshots it per branch point, the C kernel trails every change.  They
+follow the identical deterministic decision sequence, so results do not
+depend on the choice: both branch on the first uncolored point with
+exactly two colors left among the next ``_kernel_py.LOOKAHEAD`` entries of
+the supplied order, and on the next uncolored point when there is none
+(see ``_kernel_py``).
+
+The kernels trust their arguments, which must meet one contract: `colors`
+lies in 1..62, `order` is a list and `constraints` a sequence, each
+constraint a sequence of two or more points, none repeated, and every point
+index, in a constraint or in `order`, lies in [0, num_points).
 ``_kernel`` picks the backend and checks the color count.  The public
-``solve_avoidability`` adds the checks its caller cannot vouch for (no
-empty constraint, every point index in range) and answers a constraint of
-one distinct point itself, as unavoidable.  ``search.find_avoiding_coloring``
-calls ``_kernel`` directly: its constraints and branch order come from the
-build, so they are in range, and it reports a singleton before any search.
-The kernels trust their arguments.
+``solve_avoidability`` brings any other input to the contract: it keeps
+each constraint's distinct points in first-occurrence order, refuses an
+empty constraint or an index out of range, and answers a constraint of one
+distinct point itself, as unavoidable.  ``search.find_avoiding_coloring``
+calls ``_kernel`` directly: its build already meets the contract, and it
+reports a singleton before any search.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _kernel_py
 
@@ -70,16 +75,18 @@ def _kernel(backend: str | None, colors: int) -> Callable:
 def solve_avoidability(
     num_points: int,
     colors: int,
-    constraints: Sequence[Sequence[int]],
-    order: Sequence[int],
+    constraints: Iterable[Sequence[int]],
+    order: Iterable[int],
     backend: str | None = None,
 ) -> tuple[bool, list[int] | None]:
-    """Dispatch to the selected kernel; see ``_kernel_py.solve`` for the contract.
+    """Bring the input to the kernel contract and dispatch to the kernel.
 
-    Raises ValueError for a color count outside 1..62, an empty constraint,
-    or a point index, in a constraint or in `order`, outside [0, num_points).
-    A constraint of one distinct point is monochromatic under every coloring,
-    so it gives (False, None) without a search.
+    `constraints` and `order` may be any iterables, each read once, and a
+    point repeated within a constraint counts once.  Raises ValueError for
+    a color count outside 1..62, an empty constraint, or a point index, in
+    a constraint or in `order`, outside [0, num_points).  A constraint of
+    one distinct point is monochromatic under every coloring, so it gives
+    (False, None) without a search.
 
     With an `order` that leaves constrained points out, True only means that
     the listed points color without a conflict; points never reached are
@@ -88,6 +95,8 @@ def solve_avoidability(
     although no 3-coloring of these four points avoids every pair.
     """
     fn = _kernel(backend, colors)
+    constraints = [tuple(dict.fromkeys(c)) for c in constraints]
+    order = list(order)
     if not all(constraints):
         raise ValueError("constraints must be non-empty")
     points = list(chain.from_iterable(constraints))
@@ -97,6 +106,6 @@ def solve_avoidability(
         raise ValueError(
             f"point indices must lie in [0, {num_points}), got {lo}..{hi}"
         )
-    if 1 in map(len, map(set, constraints)):
+    if 1 in map(len, constraints):
         return False, None
     return fn(num_points, colors, constraints, order)

@@ -32,10 +32,11 @@ point first, ties by max-norm then index, i.e. lexicographic position) and
 turns kernel results into certified outcomes.  That order
 (``_branch_order``) is static; the kernel walks it and branches first on a
 point with exactly two colors left when one lies among its next
-``_kernel_py.LOOKAHEAD`` entries.  The constraints and the order are in
-range by construction, so the search calls the kernel without the public
-dispatcher's range checks.  It selects the kernel, which checks the color
-count, before the build, so the count is refused even in a box with
+``_kernel_py.LOOKAHEAD`` entries.  The build's sets are in range and of
+distinct points, and the order is a list of points in range, so they meet
+the kernel contract (see ``kernel``) and the search calls the kernel
+without the public dispatcher.  It selects the kernel, which checks the
+color count, before the build, so the count is refused even in a box with
 nothing to search.  A witness is checked by its
 monochromatic tuple counts (``lattice.count_monochromatic``), which share no
 code with the kernels; the constraints are built only to report a violated

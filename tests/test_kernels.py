@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rado import _kernel_py
+from rado import _kernel_py, kernel
 from rado.kernel import available_backends, default_backend, solve_avoidability
 from rado.search import (
     AVOIDABLE,
@@ -70,6 +70,17 @@ class TestKernel:
         assert solve_avoidability(2, 2, [singleton], order, backend=backend) == (False, None)
         cons = [(0, 1), singleton]
         assert solve_avoidability(2, 2, cons, order, backend=backend) == (False, None)
+
+    def test_one_shot_iterables_are_read_once(self, backend):
+        # no 2-coloring of a triangle avoids its sides; reading a generator
+        # of the sides, or of the order, twice would search an empty copy
+        sides = [(0, 1), (1, 2), (0, 2)]
+        assert solve_avoidability(
+            3, 2, (c for c in sides), [0, 1, 2], backend=backend
+        ) == (False, None)
+        assert solve_avoidability(
+            3, 2, sides, (p for p in [0, 1, 2]), backend=backend
+        ) == (False, None)
 
     def test_color_count_cap(self, backend):
         with pytest.raises(ValueError):
@@ -390,6 +401,20 @@ def test_repeated_last_point_loses_the_color(backend):
     )
 
 
+def test_dispatcher_hands_the_kernel_its_contract(monkeypatch):
+    # each constraint reaches the backend as its distinct points in
+    # first-occurrence order, and the order as a list
+    calls = []
+
+    def record(num_points, colors, constraints, order):
+        calls.append((constraints, order))
+        return True, [0] * num_points
+
+    monkeypatch.setitem(kernel._BACKENDS, "record", record)
+    solve_avoidability(3, 2, [(0, 1, 1), (2, 0, 2, 1)], (2, 0), backend="record")
+    assert calls == [([(0, 1), (2, 0, 1)], [2, 0])]
+
+
 def test_answers_do_not_depend_on_constraint_order():
     # propagation reaches the same fixpoint, or a conflict, whatever order
     # the constraints and their points are visited in, and the branch points
@@ -406,18 +431,18 @@ def test_answers_do_not_depend_on_constraint_order():
 
 def test_point_masks_match_a_walk_of_every_constraint():
     # pairs and triples are unpacked, not walked; each point's lists must
-    # still hold every constraint of its shape, by distinct points, in
-    # constraint order and once per distinct point, as the C kernel visits
-    # them.  One-point constraints never reach the kernel, so they are
-    # dropped from the draws.
+    # still hold every constraint of its shape, in constraint order and once
+    # per point, as the C kernel visits them.  The kernels take no repeated
+    # or one-point constraint, so the draws keep their distinct points, as
+    # the dispatcher does, and the one-point ones are dropped.
     rng = random.Random(5)
     for _ in range(300):
         num_points = rng.randint(1, 12)
         cons = [
-            tuple(rng.choices(range(num_points), k=rng.randint(1, 5)))
+            tuple(dict.fromkeys(rng.choices(range(num_points), k=rng.randint(1, 5))))
             for _ in range(rng.randint(0, 30))
         ]
-        cons = [c for c in cons if len(set(c)) > 1]
+        cons = [c for c in cons if len(c) > 1]
         expected = tuple([[] for _ in range(num_points)] for _ in range(3))
         pairs, triples, larger = expected
         for c in cons:
