@@ -152,10 +152,10 @@ popcount64(u64 x)
     return c;
 }
 
-/* Color point with g and propagate; 0 on a conflict.  Each constraint of a
-   newly colored point q gets _kernel_py's verdict: its points not colored
-   h are counted, stopping at two.  None means a monochromatic constraint;
-   one that is still uncolored has h forbidden. */
+/* Color point with g and propagate; 0 when a point loses its last color,
+   the only conflict (see kernel.py).  Each constraint of a newly colored
+   point q gets _kernel_py's verdict: its points not colored h are counted,
+   stopping at two, and one that is still uncolored has h forbidden. */
 static int
 assign(Engine *e, int point, int g)
 {
@@ -168,13 +168,6 @@ assign(Engine *e, int point, int g)
         qtop--;
         q = e->queue_pts[qtop];
         h = e->queue_cols[qtop];
-        if (e->color[q] >= 0) {
-            if (e->color[q] != h)
-                return 0;
-            continue;
-        }
-        if (e->forbid[q] >> h & 1)
-            return 0;
         e->color[q] = h;
         if (h >= e->introduced)
             e->introduced = h + 1;
@@ -189,8 +182,6 @@ assign(Engine *e, int point, int g)
                     rest++;
                 }
             }
-            if (rest == 0)
-                return 0;
             if (rest > 1 || e->color[last] >= 0)
                 continue;
             fb = e->forbid[last];

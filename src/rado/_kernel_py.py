@@ -25,26 +25,25 @@ Algorithm: depth-first search over the supplied branching order with
   been used), which stays sound under any branching order;
 * unit-style propagation by constraint shape: ``notcol[g]`` is the set of
   points not colored g, as an int bitset.  Coloring q with g clears q from
-  ``notcol[g]`` and visits q's constraints: when no point is left that is
-  not colored g, the constraint is monochromatic (backtrack), and when one
-  uncolored point is left, g is forbidden there; a point with only one
-  color left is assigned immediately.
+  ``notcol[g]`` and visits q's constraints: when one uncolored point is left
+  that is not colored g, g is forbidden there; a point with only one color
+  left is assigned immediately, and a point with none left is the only
+  conflict (see ``kernel``).
 
 Each point's constraints are sorted by their number of points into three
 lists, each visited in its own loop.  A pair is stored as its other point,
-which loses g outright: a conflict when it is already colored g.  Triples
-and larger sets are int masks of their points, and most hold no other point
-colored g, so their rest has two points or more and they are passed over.
-A filter finds them with one ``&`` before any rest is built: ``seen``, the
-points already colored g, is taken before q is cleared, and a mask that
-shares no bit with it is skipped.  A triple that passes has at most one
-point left, so its rest is empty or that point; larger masks still test for
-a rest of two points or more.  Propagation reaches the same fixpoint, or a
-conflict, in any visiting order, so the shapes change no decision.  A
-colored point's forbidden colors are the sentinel -1, every bit set, so
-"colored, or g already forbidden" is one ``&``; the last point of a rest is
-its bit length less one, and the one color a point has left is looked up in
-a dict.
+which loses g outright.  Triples and larger sets are int masks of their
+points, and most hold no other point colored g, so their rest has two points
+or more and they are passed over.  A filter finds them with one ``&`` before
+any rest is built: ``seen``, the points already colored g, is taken before q
+is cleared, and a mask that shares no bit with it is skipped.  No constraint
+ever has all its points colored g, so a triple that passes has exactly one
+point left, and larger masks still test for a rest of two points or more.
+Propagation reaches the same fixpoint, or a conflict, in any visiting order,
+so the shapes change no decision.  A colored point's forbidden colors are
+the sentinel -1, every bit set, so "colored, or g already forbidden" is one
+``&``; the last point of a rest is its bit length less one, and the one
+color a point has left is looked up in a dict.
 
 Each branch point snapshots the coloring, the forbidden colors and the
 ``notcol`` sets before its first color and restores them before each further
@@ -135,10 +134,6 @@ def solve(
         queue = [(point, g)]
         while queue:
             q, h = queue.pop()
-            if forbid[q] >> h & 1:
-                if color[q] == h:
-                    continue
-                return False
             color[q] = h
             forbid[q] = -1
             if h >= introduced:
@@ -152,8 +147,6 @@ def solve(
             for other in pairs[q]:
                 fb = forbid[other]
                 if fb & bit:
-                    if color[other] == h:
-                        return False
                     continue
                 fb |= bit
                 forbid[other] = fb
@@ -164,10 +157,7 @@ def solve(
             for m in triples[q]:
                 if not m & seen:
                     continue
-                rest = m & nc
-                if not rest:
-                    return False
-                last = rest.bit_length() - 1
+                last = (m & nc).bit_length() - 1
                 fb = forbid[last]
                 if fb & bit:
                     continue
@@ -181,8 +171,6 @@ def solve(
                 if not m & seen:
                     continue
                 rest = m & nc
-                if not rest:
-                    return False
                 if rest & (rest - 1):
                     continue
                 last = rest.bit_length() - 1

@@ -228,7 +228,7 @@ def cmd_check_columns(system_path, limit):
                 "satisfies": rep.satisfies,
                 "rank": rep.rank,
                 "full_rank": rep.full_rank,
-                "witness": [list(b) for b in rep.witness.blocks] if rep.witness else None,
+                "witness": rep.witness.blocks if rep.witness else None,
             }
             for rep in reports
         ],
@@ -263,7 +263,7 @@ def cmd_enumerate(system_path, box, head, budget):
     for i, sol in enumerate(enumerate_vector_solutions(system, box, budget)):
         if head and i >= head:
             break
-        tuples.append([list(p) for p in sol.points])
+        tuples.append(sol.points)
     total = count_solutions(system, box, budget)
     doc = {"n": box, "total": total, "printed": len(tuples), "solutions": tuples}
     lines = [f"total {total} solution tuples in [1,{box}]^{system.d}"]
@@ -313,8 +313,8 @@ def cmd_degenerate(points):
     report = is_degenerate(points)
     doc = {
         "degenerate": report.degenerate,
-        "direction": list(report.direction) if report.direction else None,
-        "multipliers": list(report.multipliers) if report.multipliers else None,
+        "direction": report.direction,
+        "multipliers": report.multipliers,
     }
     if not report.degenerate:
         return doc, "non-degenerate", 1
@@ -335,11 +335,7 @@ def cmd_search(problem, box, witness_path, budget):
         "n": box,
         "status": outcome.status,
         "witness": asdict(outcome.witness) if outcome.witness else None,
-        "forced_constraint": (
-            [list(p) for p in outcome.forced_constraint]
-            if outcome.forced_constraint
-            else None
-        ),
+        "forced_constraint": outcome.forced_constraint,
     }
     text = f"n={box}: {outcome.status}"
     if witness_path and outcome.witness is not None:
@@ -403,11 +399,7 @@ def cmd_verify(system_path, witness_path, colors, mask, exclude_degenerate, dist
     report = verify_witness(problem, witness, budget)
     doc = {
         "passed": report.passed,
-        "violated_constraint": (
-            [list(p) for p in report.violated_constraint]
-            if report.violated_constraint
-            else None
-        ),
+        "violated_constraint": report.violated_constraint,
         "color": report.color,
     }
     if report.passed:
@@ -454,7 +446,7 @@ def mpc_group():
 def cmd_mpc_gen(m, p, c, gens):
     """Generate the set for given parameters and generators."""
     values = generate_mpc(MpcSpec(m, p, c), gens)
-    return {"set": list(values)}, " ".join(map(str, values)), 0
+    return {"set": values}, " ".join(map(str, values)), 0
 
 
 @mpc_group.command("find-mono")
@@ -474,8 +466,8 @@ def cmd_mpc_find_mono(coloring_path, m, p, c):
     gens = find_mono_mpc(coloring, spec)
     doc = {
         "found": gens is not None,
-        "generators": list(gens) if gens else None,
-        "set": list(generate_mpc(spec, gens)) if gens else None,
+        "generators": gens,
+        "set": generate_mpc(spec, gens) if gens else None,
     }
     if gens:
         return doc, "generators " + ",".join(map(str, gens)), 0
@@ -494,9 +486,9 @@ def cmd_mpc_embed(m, p, c, low_exp, high_exp, gens):
     inner = generate_mpc(MpcSpec(m, p, c**low_exp), scaled)
     outer = generate_mpc(MpcSpec(m, c ** (high_exp - low_exp) * p, c**high_exp), gens)
     doc = {
-        "generators": list(scaled),
-        "inner_set": list(inner),
-        "outer_set": list(outer),
+        "generators": scaled,
+        "inner_set": inner,
+        "outer_set": outer,
         "contained": True,
     }
     return doc, "generators " + ",".join(map(str, scaled)), 0
@@ -513,10 +505,10 @@ def cmd_mpc_contains(system_path, coordinate, m, p, c, gens, budget):
     """Search the generated set for a solution tuple; exit 1 when none."""
     system = parse_system(_read(system_path))
     if not 0 <= coordinate < system.d:
-        raise click.BadParameter(f"coordinate must lie in [0, {system.d})")
+        raise ValueError(f"coordinate must lie in [0, {system.d})")
     scalar = system.coordinate_systems[coordinate]
     solution = mpc_contains_solution(MpcSpec(m, p, c), gens, scalar, budget)
-    doc = {"found": solution is not None, "solution": list(solution) if solution else None}
+    doc = {"found": solution is not None, "solution": solution}
     if solution:
         return doc, " ".join(map(str, solution)), 0
     return doc, "no solution in the set", 1
@@ -533,8 +525,8 @@ def cmd_observe(indices, k, l, d):
     families = build_difference_families(indices, k, l, d)
     report = check_difference_families(families, d, k, l)
     doc = {
-        "left_points": [list(p) for p in families.left],
-        "right_points": [list(p) for p in families.right],
+        "left_points": families.left,
+        "right_points": families.right,
         "report": asdict(report),
         "all_pass": report.all_pass(),
     }

@@ -28,6 +28,18 @@ empty constraint or an index out of range, and answers a constraint of one
 distinct point itself, as unavoidable.  ``search.find_avoiding_coloring``
 calls ``_kernel`` directly: its build already meets the contract, and it
 reports a singleton before any search.
+
+Under this contract a search fails in one way only: a point loses its last
+color, its forbidden colors reaching the full mask.  No other conflict can
+arise, so neither kernel tests for one:
+
+* a branch colors an uncolored point with a color it still has; a point
+  is queued when one color is left to it, and any later forbid there
+  empties it and fails at once, so a point is queued at most once, and it
+  is still uncolored, its one color still allowed, when it is popped;
+* once every point of a constraint but one is colored h, that last point
+  loses h, so no point is ever colored h where that would make one of its
+  constraints monochromatic.
 """
 
 from __future__ import annotations

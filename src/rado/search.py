@@ -153,16 +153,13 @@ def build_constraints(
 
     The kept sets come by size, then in lexicographic order.
     """
-    d = problem.system.d
-    if n < 1:
-        return ConstraintSet(n, d, ())
     groups = _kept_groups(problem, n, budget)
     # sets of one size in lexicographic order: a stable sort per column,
     # last column first
     for group in filter(None, groups):
         for j in reversed(range(len(group[0]))):
             group.sort(key=itemgetter(j))
-    return ConstraintSet(n, d, tuple(chain.from_iterable(groups)))
+    return ConstraintSet(n, problem.system.d, tuple(chain.from_iterable(groups)))
 
 
 def _kept_groups(
@@ -342,12 +339,13 @@ def export_dimacs(
     Other color counts: one-hot variables var(point, color) with at-least-one
     and pairwise at-most-one clauses per point, plus one blocking clause per
     constraint and color.  Variables number points in lexicographic order,
-    then colors, so output is bit-exact across runs.
+    then colors, so output is bit-exact across runs.  A box side below 1
+    gives the empty box: no variables and no clauses.
     """
     cs = build_constraints(problem, n, budget)
     d = problem.system.d
     r = problem.colors
-    num_points = n**d
+    num_points = max(n, 0) ** d
     lines = [
         "c avoidability of monochromatic constrained solutions",
         f"c box [1,{n}]^{d}, colors {r}, constraints {len(cs.constraints)}",

@@ -93,6 +93,16 @@ class TestEnumerateAndCount:
         assert result.exit_code == 2
         assert result.output == "error: --head must be at least 0, got -1\n"
 
+    def test_enumerate_head_cuts_the_listing_but_not_the_total(self, runner, system_files):
+        args = ["enumerate", "-f", system_files["schur"], "-n", "5", "--json"]
+        full = json.loads(runner.invoke(main, args).output)
+        result = runner.invoke(main, [*args, "--head", "2"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["total"] == full["total"] == 10
+        assert doc["printed"] == 2
+        assert doc["solutions"] == full["solutions"][:2]
+
     def test_count_with_degenerate(self, runner, system_files):
         result = runner.invoke(
             main,
@@ -263,6 +273,20 @@ class TestSearchVerifyRadoNumber:
         )
         assert result.exit_code == 0
         assert result.output.strip() == "9"
+
+    def test_rado_number_witness_passes_verify(self, runner, system_files):
+        witness_path = str(system_files["dir"] / "w.json")
+        args = ["-f", system_files["motivating"], "--mask", "0,1,2"]
+        result = runner.invoke(
+            main, ["rado-number", *args, "--max-n", "12", "--emit-witness", witness_path]
+        )
+        assert result.exit_code == 0
+        assert result.output == "9\n"
+        with open(witness_path, encoding="utf-8") as fh:
+            assert parse_coloring(fh.read()).n == 8
+        verify_result = runner.invoke(main, ["verify", *args, "--witness", witness_path])
+        assert verify_result.exit_code == 0
+        assert verify_result.output == "witness passes\n"
 
     def test_rado_number_exceeded(self, runner, system_files):
         result = runner.invoke(
@@ -511,6 +535,26 @@ class TestMpcCommands:
         doc = json.loads(result.output)
         x, y, z = doc["solution"]
         assert x + y == z
+
+    def test_contains_none(self, runner, system_files):
+        # 5 + 5 = 10 leaves the set {5}
+        args = ["mpc", "contains", "-f", system_files["schur"], "--m", "1", "--p", "1",
+                "--c", "1", "--gens", "5"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output == "no solution in the set\n"
+        doc = json.loads(runner.invoke(main, [*args, "--json"]).output)
+        assert doc == {"found": False, "solution": None}
+
+    def test_contains_coordinate_out_of_range_is_input_error(self, runner, system_files):
+        result = runner.invoke(
+            main,
+            ["mpc", "contains", "-f", system_files["schur"], "--coordinate", "3", "--m", "1",
+             "--p", "1", "--c", "1", "--gens", "5"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: coordinate must lie in [0, 1)\n"
 
 
 class TestObserve:

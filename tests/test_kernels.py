@@ -4,6 +4,7 @@ import inspect
 import random
 import re
 import signal
+import sys
 import time
 from pathlib import Path
 
@@ -125,6 +126,28 @@ def test_python_search_state_is_freed_on_return():
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("limit", [1000, 2 * 1200 + 200], ids=["default", "raised"])
+def test_python_kernel_branches_past_the_recursion_limit(limit):
+    # 1,200 nested branch points need more frames than the default limit;
+    # the kernel raises the limit for the search and leaves it as it was
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        assert _kernel_py.solve(1200, 2, [], list(range(1200))) == (True, [0] * 1200)
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old)
+    if "c" in BACKENDS:
+        got = solve_avoidability(1200, 2, [], range(1200), backend="c")
+        assert got == (True, [0] * 1200)
+
+
+def test_unknown_backend_is_refused():
+    message = f"unknown kernel backend 'fortran'; available: {available_backends()}"
+    with pytest.raises(ValueError, match=whole(message)):
+        solve_avoidability(2, 2, [], [], backend="fortran")
 
 
 def _compiled_extension_imports():

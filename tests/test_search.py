@@ -24,6 +24,7 @@ from rado.search import (
     AVOIDABLE,
     TRIVIALLY_UNAVOIDABLE,
     UNAVOIDABLE,
+    ConstraintSet,
     SearchProblem,
     _branch_order,
     build_constraints,
@@ -168,6 +169,15 @@ BUILD_PROBLEMS = {
     # the mask keeps x but not its twin y, so no twin rule applies
     "schur-mask-0,2": SearchProblem(VectorSystem((SCHUR,)), mask=(0, 2)),
 }
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("label", BUILD_PROBLEMS)
+def test_empty_box_builds_nothing(label, n):
+    # [1,n]^d holds no point for n < 1, so no solution tuple and no set
+    problem = BUILD_PROBLEMS[label]
+    assert build_constraints(problem, n) == ConstraintSet(n, problem.system.d, ())
+
 
 # largest n at which the brute-force oracle is compared, per problem
 ORACLE_MAX_N = {
@@ -651,6 +661,14 @@ class TestDimacs:
         num_vars, clauses = parse_dimacs(text)
         assert clauses == []
         assert solve_cnf(num_vars, clauses) is not None
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("colors", [2, 3])
+    @pytest.mark.parametrize("system", [VectorSystem((SCHUR,)), MOTIVATING], ids=["schur", "flagship"])
+    def test_empty_box_has_no_variables(self, system, colors, n):
+        text = export_dimacs(SearchProblem(system, colors=colors), n)
+        assert text.splitlines()[-1] == "p cnf 0 0"
+        assert parse_dimacs(text) == (0, [])
 
     def test_engine_agreement_two_colors(self):
         for problem, top in ((SCHUR_1D, 5), (VDW, 9)):
