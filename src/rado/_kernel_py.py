@@ -45,10 +45,13 @@ the sentinel -1, every bit set, so "colored, or g already forbidden" is one
 ``&``; the last point of a rest is its bit length less one, and the one
 color a point has left is looked up in a dict.
 
-Each branch point snapshots the coloring, the forbidden colors and the
+The search is one loop over an explicit stack, with one entry per open
+branch point, so it takes no Python frames however deep it goes.  Each
+branch point snapshots the coloring, the forbidden colors and the
 ``notcol`` sets before its first color and restores them before each further
-one, so nothing is undone step by step; a branch point that fails leaves its
-state for its caller to restore.  The snapshots cost memory and copy time of
+one, so nothing is undone step by step; a branch point with no color left is
+popped without a restore, and the next entry down restores its own snapshot
+before its next color.  The snapshots cost memory and copy time of
 depth x points: ``solve(2000, 2, [], list(range(2000)))`` opens 2,000 branch
 points and peaks at about 66 MB (tracemalloc), where the C kernel's trail
 stays under 1 MB.  Tried colors ascend and each of a point's lists is
@@ -57,7 +60,6 @@ visited in input order, so the search is deterministic.
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
 # how many entries of the order, from the first uncolored one, a branch
@@ -191,15 +193,18 @@ def solve(
         full_mask ^ (1 << a) ^ (1 << b) for a in range(colors) for b in range(a)
     }
 
-    def dfs(oi: int) -> bool:
-        nonlocal introduced
+    # per open branch point: its point, the order position to resume at, the
+    # colors it has still to try as a bitset, and its snapshot
+    stack: list[tuple[int, int, int, tuple]] = []
+    oi = 0
+    while True:
         while oi < olen and color[order[oi]] >= 0:
             oi += 1
         if oi == olen:
-            return True
+            return True, [c if c >= 0 else 0 for c in color]
         x = order[oi]
         # the points before oi are colored, and order[oi] stays uncolored
-        # when another point is branched on, so the recursion keeps oi
+        # when another point is branched on, so the search resumes at oi
         nxt = oi + 1
         for y in order[oi:oi + LOOKAHEAD]:
             if forbid[y] in two_left:
@@ -207,31 +212,19 @@ def solve(
                     x = y
                     nxt = oi
                 break
-        top = min(introduced, colors - 1)
-        fb = forbid[x]
-        saved = None
-        for g in range(top + 1):
-            if fb >> g & 1:
-                continue
-            if saved is None:
-                saved = color[:], forbid[:], notcol[:], introduced
-            else:
-                color[:], forbid[:], notcol[:], introduced = saved
-            if assign(x, g) and dfs(nxt):
-                return True
-        return False
-
-    depth_needed = num_points * 2 + 100
-    old_limit = sys.getrecursionlimit()
-    if old_limit < depth_needed:
-        sys.setrecursionlimit(depth_needed)
-    try:
-        if dfs(0):
-            return True, [c if c >= 0 else 0 for c in color]
-        return False, None
-    finally:
-        if old_limit < depth_needed:
-            sys.setrecursionlimit(old_limit)
-        # dfs refers to itself, so this cycle would keep the search state,
-        # the caller's constraints among it, alive until the next gc collection
-        del dfs
+        saved = color[:], forbid[:], notcol[:], introduced
+        # the colors x is not forbidden, up to the first one not yet introduced
+        left = ((2 << min(introduced, colors - 1)) - 1) & ~forbid[x]
+        while True:
+            low = left & -left
+            left ^= low
+            if assign(x, low.bit_length() - 1):
+                break
+            # back up to the innermost branch point with a color left
+            while not left:
+                if not stack:
+                    return False, None
+                x, nxt, left, saved = stack.pop()
+            color[:], forbid[:], notcol[:], introduced = saved
+        stack.append((x, nxt, left, saved))
+        oi = nxt

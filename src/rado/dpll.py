@@ -6,7 +6,9 @@ becomes false, each clause that contains it counts its literals that are not
 false, stopping at two: a true one means satisfied, none a conflict and one
 unassigned a unit to propagate.  Clauses keep no state, so backtracking only
 unassigns the trail.  Branching follows a static most-occurrences order with
-True tried before False, so results are deterministic.
+True tried before False, so results are deterministic.  The search is one
+loop over an explicit stack, one entry per open branch point, so it takes no
+Python frames however deep it goes.
 
 Before the search, one pass over all the literals checks the formula, and a
 formula that fails it is normalised clause by clause.  Each literal's
@@ -16,7 +18,6 @@ literal, so repeats do not change the branching order or the model.
 
 from __future__ import annotations
 
-import sys
 from itertools import chain, compress, count, repeat
 from typing import Iterable
 
@@ -170,25 +171,25 @@ def solve_cnf(num_vars: int, clauses: Iterable[Iterable[int]]) -> list[bool] | N
         key=lambda v: (-(len(occ[v]) + len(occ[-v])), v),
     )
 
-    def dfs(idx: int) -> bool:
+    # per open branch point: its order position, the trail mark before it
+    # and the literal being tried there, v before -v
+    stack: list[tuple[int, int, int]] = []
+    idx = 0
+    while True:
         while idx < len(order) and value[order[idx]] is not None:
             idx += 1
         if idx == len(order):
-            return True
-        v = order[idx]
+            return [value[v] is True for v in range(num_vars + 1)]
+        lit = order[idx]
         mark = len(trail)
-        for lit in (v, -v):
-            if assign(lit) and dfs(idx + 1):
-                return True
+        while not assign(lit):
             undo(mark)
-        return False
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, num_vars * 2 + 100))
-    try:
-        return [value[v] is True for v in range(num_vars + 1)] if dfs(0) else None
-    finally:
-        sys.setrecursionlimit(old_limit)
-        # dfs refers to itself, so this cycle would keep the search state,
-        # the caller's clauses among it, alive until the next gc collection
-        del dfs
+            # back up past the branch points that have tried both literals
+            while lit < 0:
+                if not stack:
+                    return None
+                idx, mark, lit = stack.pop()
+                undo(mark)
+            lit = -lit
+        stack.append((idx, mark, lit))
+        idx += 1

@@ -9,8 +9,9 @@ the C kernel visits them in input order and counts each one's points not
 colored h, stopping at two, while the Python kernel visits them by shape,
 first the pairs, each forbidding h at its other point, then triples and
 larger sets as bitsets, passing over those with no other point colored h.
-They restore state on backtracking differently: the Python kernel
-snapshots it per branch point, the C kernel trails every change.  They
+They search and restore state differently: the Python kernel loops over an
+explicit stack of branch points, each holding a snapshot of the state, and
+the C kernel recurses and trails every change.  They
 follow the identical deterministic decision sequence, so results do not
 depend on the choice: both branch on the first uncolored point with
 exactly two colors left among the next ``_kernel_py.LOOKAHEAD`` entries of

@@ -379,13 +379,24 @@ def export_dimacs(
 
 
 def coloring_from_model(n: int, d: int, r: int, model: Sequence[bool]) -> Coloring:
-    """Decode a satisfying assignment (1-indexed) of the exported CNF."""
+    """Decode a satisfying assignment (1-indexed) of the exported CNF.
+
+    Raises ValueError when n, d or r is below 1, when the model has fewer
+    variables than the CNF of the box, or when a point has no true color.
+    """
+    if n < 1 or d < 1 or r < 1:
+        raise ValueError("n, d and r must all be positive")
     num_points = n**d
+    num_vars = num_points if r == 2 else num_points * r
+    if len(model) <= num_vars:
+        raise ValueError(f"model has {max(len(model) - 1, 0)} variables; the CNF has {num_vars}")
     if r == 2:
         colors = tuple(0 if model[i + 1] else 1 for i in range(num_points))
     else:
         colors = tuple(
-            next(g for g in range(r) if model[i * r + g + 1])
+            next((g for g in range(r) if model[i * r + g + 1]), -1)
             for i in range(num_points)
         )
+        if -1 in colors:
+            raise ValueError(f"point {colors.index(-1)} has no true color in the model")
     return Coloring(n, d, r, colors)

@@ -6,6 +6,9 @@ backend-parametrized tests run on the C kernel of this checkout rather than on
 whatever build is installed.  Nothing is written under ``src/``.  Without a C
 compiler, ``Python.h`` or setuptools the build is skipped, the dispatcher
 offers only ``"python"`` and the tests that need ``"c"`` report a skip.
+
+The ``call_deep`` fixture calls a function from deep in the Python stack, to
+show that a search needs no frame per branch point.
 """
 
 from __future__ import annotations
@@ -19,8 +22,12 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
+import pytest
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "rado" / "_kernel_c.c"
 NAME = "rado._kernel_c"
+# call_deep calls from this many frames deep under the default recursion limit
+DEPTH, DEFAULT_LIMIT = 800, 1000
 
 
 class _BuiltKernel:
@@ -64,3 +71,29 @@ def pytest_configure(config):
     build_dir = tempfile.TemporaryDirectory(prefix="rado-kernel-")
     config.add_cleanup(build_dir.cleanup)
     sys.meta_path.insert(0, _BuiltKernel(_build(build_dir.name)))
+
+
+@pytest.fixture
+def call_deep():
+    """A function that calls fn(*args, **kwargs) DEPTH frames deep.
+
+    The recursion limit is DEFAULT_LIMIT during the call, so fewer than 200
+    frames are left to the callee.
+    """
+
+    def call(fn, *args, **kwargs):
+        frame, height = sys._getframe(), 0
+        while frame is not None:
+            frame, height = frame.f_back, height + 1
+
+        def down(k):
+            return fn(*args, **kwargs) if k <= 0 else down(k - 1)
+
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(DEFAULT_LIMIT)
+        try:
+            return down(DEPTH - height)
+        finally:
+            sys.setrecursionlimit(old)
+
+    return call

@@ -111,12 +111,17 @@ class TestSolve:
                 gc.enable()
 
     def test_deep_formula_raises_the_recursion_limit(self):
+        # 1,500 nested branch points take no frame each: the limit stays put
         clauses = [[2 * i + 1, 2 * i + 2] for i in range(1500)]
         limit = sys.getrecursionlimit()
         model = solve_cnf(3000, clauses)
         assert model is not None
         assert all(model[a] or model[b] for a, b in clauses)
         assert sys.getrecursionlimit() == limit
+
+    def test_ring_runs_800_frames_deep(self, call_deep):
+        ring = [[v, v % 300 + 1] for v in range(1, 301)]
+        assert call_deep(solve_cnf, 300, ring) == [False] + [True] * 300
 
     def test_matches_brute_force(self):
         rng = random.Random(99)

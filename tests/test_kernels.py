@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from rado import _kernel_py, kernel
+from rado.dpll import solve_cnf
 from rado.kernel import available_backends, default_backend, solve_avoidability
 from rado.search import (
     AVOIDABLE,
@@ -130,8 +131,9 @@ def test_python_search_state_is_freed_on_return():
 
 @pytest.mark.parametrize("limit", [1000, 2 * 1200 + 200], ids=["default", "raised"])
 def test_python_kernel_branches_past_the_recursion_limit(limit):
-    # 1,200 nested branch points need more frames than the default limit;
-    # the kernel raises the limit for the search and leaves it as it was
+    # 1,200 nested branch points would need more frames than the default
+    # limit; the kernel's search takes none per branch point and leaves the
+    # limit as it was
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
@@ -142,6 +144,25 @@ def test_python_kernel_branches_past_the_recursion_limit(limit):
     if "c" in BACKENDS:
         got = solve_avoidability(1200, 2, [], range(1200), backend="c")
         assert got == (True, [0] * 1200)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_search_runs_800_frames_deep(backend, call_deep):
+    got = call_deep(solve_avoidability, 300, 2, [], range(300), backend=backend)
+    assert got == (True, [0] * 300)
+
+
+def test_searches_leave_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"a search set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert _kernel_py.solve(1200, 2, [], list(range(1200))) == (True, [0] * 1200)
+    # the formula of test_dpll's deep-formula test
+    clauses = [[2 * i + 1, 2 * i + 2] for i in range(1500)]
+    model = solve_cnf(3000, clauses)
+    assert model is not None
+    assert all(model[a] or model[b] for a, b in clauses)
 
 
 def test_unknown_backend_is_refused():

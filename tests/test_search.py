@@ -705,6 +705,23 @@ class TestDimacs:
             num_vars, clauses = parse_dimacs(export_dimacs(problem, n))
             assert (solve_cnf(num_vars, clauses) is not None) == engine
 
+    @pytest.mark.parametrize(
+        "n, d, r, model, message",
+        [
+            (-1, 2, 2, [None], "n, d and r must all be positive"),
+            (0, 3, 3, [None], "n, d and r must all be positive"),
+            (2, 2, 2, [None, True, False, True], "model has 3 variables; the CNF has 4"),
+            (2, 1, 3, [], "model has 0 variables; the CNF has 6"),
+            (1, 1, 3, [None, False, False, False], "point 0 has no true color in the model"),
+            (2, 1, 3, [None, False, True, False, False, False, False], "point 1 has no true color in the model"),
+        ],
+        ids=["n-negative", "n-zero", "short-two-colors", "short-three-colors",
+             "no-true-color", "no-true-color-second-point"],
+    )
+    def test_coloring_from_model_rejects_bad_input(self, n, d, r, model, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            coloring_from_model(n, d, r, model)
+
 
 class TestSearchProblemValidation:
     def test_mask_normalized(self):
