@@ -12,14 +12,17 @@
    of its constraints, and so the same fixpoint or conflict: assign() below
    visits them in input order and counts each one's points not colored h,
    stopping at two, while _kernel_py visits them by shape (pairs, triples,
-   larger sets) and intersects bitsets for the sets.  They restore state
-   differently: _kernel_py snapshots it per branch point, while here every
-   assignment and every forbidden color bit is trailed, so undo() restores
-   the state exactly.  Both branch the same way: on the first uncolored
-   point with exactly two colors left (popcount64 of its forbidden colors
-   is colors - 2) among the next LOOKAHEAD entries of the order, and on
-   the next uncolored point when there is none.  The DFS polls for signals
-   every SIGNAL_CHECK_MASK + 1 calls, so Ctrl-C stops a long search. */
+   larger sets) and intersects bitsets for the sets.
+
+   Both search in one loop over an explicit stack with one Frame per open
+   branch point, so a search of any depth takes no C stack.  They restore
+   state differently: _kernel_py snapshots it per branch point, while here
+   one trail records every coloring and every forbidden color bit, so
+   undo() restores the state at a frame's mark exactly.  Both branch the
+   same way: on the first uncolored point with exactly two colors left
+   among the next LOOKAHEAD entries of the order, and on the next uncolored
+   point when there is none.  The loop polls for signals once every
+   SIGNAL_CHECK_MASK + 1 iterations, so Ctrl-C stops a long search. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -29,6 +32,14 @@
 
 typedef unsigned long long u64;
 
+/* An open branch point: its point, the order position to resume at, the
+   colors it has still to try (lowest first), the trail length before its
+   first color and the colors introduced then. */
+typedef struct {
+    int point, resume, mark, introduced;
+    u64 left;
+} Frame;
+
 typedef struct {
     int colors, olen;
     u64 full_mask;
@@ -37,16 +48,14 @@ typedef struct {
     int *color;         /* per point, -1 while uncolored */
     u64 *forbid;        /* per point, bit g set when g is forbidden */
     int *order;
-    int *assign_stack;  /* assigned points, for undo */
-    int as_top;
-    int *forb_pts;      /* forbidden-bit trail: point and bit */
-    u64 *forb_bits;
-    int fb_top;
+    int *trail_pts;     /* the trail: a point, and the forbidden bit set */
+    u64 *trail_bits;    /* there, or 0 where the point was colored */
+    int trail_len;
     int *queue_pts, *queue_cols;
     int introduced;     /* colors used on the current path */
-    unsigned long calls;
+    Frame *frames;      /* the open branch points, num_points + 1 of them */
     int *ints;          /* one block that holds every int array above */
-    u64 *words;         /* one block that holds forbid and forb_bits */
+    u64 *words;         /* one block that holds forbid and trail_bits */
 } Engine;
 
 /* Copy the items of a fast sequence of ints into out; -1 on error. */
@@ -69,7 +78,9 @@ engine_init(Engine *e, int num_points, int colors, PyObject *constraints,
             PyObject *order)
 {
     PyObject *cons = NULL, *ord = NULL, *fast = NULL;
-    Py_ssize_t i, j, ncon, total = 0, trail = (Py_ssize_t)num_points * colors;
+    Py_ssize_t i, j, ncon, total = 0;
+    /* each point is colored once and loses each color once per path */
+    Py_ssize_t trail = (Py_ssize_t)num_points * (colors + 1);
     int *p, rc = -1;
 
     cons = PySequence_Fast(constraints, "constraints must be a sequence");
@@ -94,10 +105,11 @@ engine_init(Engine *e, int num_points, int colors, PyObject *constraints,
     e->colors = colors;
     e->olen = (int)PySequence_Fast_GET_SIZE(ord);
     e->full_mask = (1ULL << colors) - 1;
-    e->ints = PyMem_Calloc(ncon + 1 + 2 * total + 5 * (size_t)num_points + 4
+    e->ints = PyMem_Calloc(ncon + 1 + 2 * total + 4 * (size_t)num_points + 4
                            + e->olen + trail, sizeof(int));
     e->words = PyMem_Calloc(num_points + trail, sizeof(u64));
-    if (e->ints == NULL || e->words == NULL) {
+    e->frames = PyMem_Calloc((size_t)num_points + 1, sizeof(Frame));
+    if (e->ints == NULL || e->words == NULL || e->frames == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -108,12 +120,11 @@ engine_init(Engine *e, int num_points, int colors, PyObject *constraints,
     e->adj_data = p;      p += total;
     e->color = p;         p += num_points;
     e->order = p;         p += e->olen;
-    e->assign_stack = p;  p += num_points;
-    e->forb_pts = p;      p += trail;
+    e->trail_pts = p;     p += trail;
     e->queue_pts = p;     p += num_points + 1;
     e->queue_cols = p;
     e->forbid = e->words;
-    e->forb_bits = e->words + num_points;
+    e->trail_bits = e->words + num_points;
 
     for (i = 0; i < ncon; i++) {
         PyObject *c = PyList_GET_ITEM(fast, i);
@@ -143,20 +154,14 @@ done:
     return rc;
 }
 
-static int
-popcount64(u64 x)
-{
-    int c = 0;
-    for (; x; x &= x - 1)
-        c++;
-    return c;
-}
-
 /* Color point with g and propagate; 0 when a point loses its last color,
    the only conflict (see kernel.py).  Each constraint of a newly colored
    point q gets _kernel_py's verdict: its points not colored h are counted,
-   stopping at two, and one that is still uncolored has h forbidden. */
-static int
+   stopping at two, and one that is still uncolored has h forbidden.  Kept
+   out of line: inlined into the search loop, whose state then crowds its
+   registers, it made the (S,S3) r=3 n=14 refutation about 25% slower
+   (GCC 12 -O3, 2-vCPU x86-64 VM). */
+static Py_NO_INLINE int
 assign(Engine *e, int point, int g)
 {
     int qtop = 0;
@@ -171,11 +176,12 @@ assign(Engine *e, int point, int g)
         e->color[q] = h;
         if (h >= e->introduced)
             e->introduced = h + 1;
-        e->assign_stack[e->as_top++] = q;
+        e->trail_pts[e->trail_len] = q;
+        e->trail_bits[e->trail_len++] = 0;
         bit = 1ULL << h;
         for (a = e->adj_off[q]; a < e->adj_off[q + 1]; a++) {
             int ci = e->adj_data[a], x, last = -1, rest = 0;
-            u64 fb;
+            u64 fb, left;
             for (x = e->con_off[ci]; x < e->con_off[ci + 1] && rest < 2; x++) {
                 if (e->color[e->con_data[x]] != h) {
                     last = e->con_data[x];
@@ -189,12 +195,13 @@ assign(Engine *e, int point, int g)
                 continue;
             fb |= bit;
             e->forbid[last] = fb;
-            e->forb_pts[e->fb_top] = last;
-            e->forb_bits[e->fb_top++] = bit;
+            e->trail_pts[e->trail_len] = last;
+            e->trail_bits[e->trail_len++] = bit;
             if (fb == e->full_mask)
                 return 0;
-            if (popcount64(fb) == e->colors - 1) {
-                u64 left = e->full_mask ^ fb;
+            left = e->full_mask ^ fb;
+            if (!(left & (left - 1))) {
+                /* one color left: color last with it */
                 int forced = 0;
                 while (!(left >> forced & 1))
                     forced++;
@@ -206,60 +213,78 @@ assign(Engine *e, int point, int g)
     return 1;
 }
 
+/* Restore the state the trail held at length mark.  A point loses a color
+   only while uncolored, so every entry's point was uncolored before it was
+   made, and each entry, forbidden bit or coloring, is undone the same way. */
 static void
-undo(Engine *e, int assign_mark, int forb_mark)
+undo(Engine *e, int mark)
 {
-    while (e->as_top > assign_mark)
-        e->color[e->assign_stack[--e->as_top]] = -1;
-    while (e->fb_top > forb_mark) {
-        e->fb_top--;
-        e->forbid[e->forb_pts[e->fb_top]] ^= e->forb_bits[e->fb_top];
+    while (e->trail_len > mark) {
+        int q = e->trail_pts[--e->trail_len];
+        e->forbid[q] ^= e->trail_bits[e->trail_len];
+        e->color[q] = -1;
     }
 }
 
-/* 1 when the points from order[oi] on can be colored, 0 when they cannot,
-   -1 with an exception set when a signal handler raised. */
+/* 1 when the points of the order can be colored, 0 when they cannot, -1
+   with an exception set when a signal handler raised. */
 static int
-dfs(Engine *e, int oi)
+search(Engine *e)
 {
-    int x, g, top, j, next, end;
-    u64 fb;
-    if ((++e->calls & SIGNAL_CHECK_MASK) == 0 && PyErr_CheckSignals() < 0)
-        return -1;
-    while (oi < e->olen && e->color[e->order[oi]] >= 0)
-        oi++;
-    if (oi == e->olen)
-        return 1;
-    x = e->order[oi];
-    /* the points before oi are colored, and order[oi] stays uncolored when
-       another point is branched on, so the recursion keeps oi */
-    next = oi + 1;
-    end = oi + LOOKAHEAD < e->olen ? oi + LOOKAHEAD : e->olen;
-    for (j = oi; j < end; j++) {
-        int y = e->order[j];
-        if (e->color[y] < 0 && popcount64(e->forbid[y]) == e->colors - 2) {
-            if (j > oi) {
-                x = y;
-                next = oi;
+    unsigned long steps = 0;
+    int oi = 0, depth = 0;
+    for (;;) {
+        int j, end, top;
+        Frame *f = e->frames + depth;
+        if ((++steps & SIGNAL_CHECK_MASK) == 0 && PyErr_CheckSignals() < 0)
+            return -1;
+        while (oi < e->olen && e->color[e->order[oi]] >= 0)
+            oi++;
+        if (oi == e->olen)
+            return 1;
+        f->point = e->order[oi];
+        /* the points before oi are colored, and order[oi] stays uncolored
+           when another point is branched on, so the search resumes at oi */
+        f->resume = oi + 1;
+        end = oi + LOOKAHEAD < e->olen ? oi + LOOKAHEAD : e->olen;
+        for (j = oi; j < end; j++) {
+            int y = e->order[j];
+            u64 left = e->full_mask ^ e->forbid[y];
+            left &= left - 1;
+            /* two colors left: one is left once the lowest is dropped */
+            if (e->color[y] < 0 && left && !(left & (left - 1))) {
+                if (j > oi) {
+                    f->point = y;
+                    f->resume = oi;
+                }
+                break;
             }
-            break;
         }
-    }
-    top = e->introduced < e->colors - 1 ? e->introduced : e->colors - 1;
-    fb = e->forbid[x];
-    for (g = 0; g <= top; g++) {
-        int am = e->as_top, fm = e->fb_top, saved = e->introduced, found;
-        if (fb >> g & 1)
-            continue;
-        if (assign(e, x, g)) {
-            found = dfs(e, next);
-            if (found != 0)
-                return found;
+        f->mark = e->trail_len;
+        f->introduced = e->introduced;
+        /* the colors the point is not forbidden, up to the first one not
+           yet introduced */
+        top = e->introduced < e->colors - 1 ? e->introduced : e->colors - 1;
+        f->left = ((2ULL << top) - 1) & ~e->forbid[f->point];
+        for (;;) {
+            int g = 0;
+            while (!(f->left >> g & 1))
+                g++;
+            f->left ^= 1ULL << g;
+            if (assign(e, f->point, g))
+                break;
+            /* back up to the innermost branch point with a color left */
+            while (!f->left) {
+                if (depth == 0)
+                    return 0;
+                f = e->frames + --depth;
+            }
+            undo(e, f->mark);
+            e->introduced = f->introduced;
         }
-        undo(e, am, fm);
-        e->introduced = saved;
+        depth++;
+        oi = f->resume;
     }
-    return 0;
 }
 
 static PyObject *
@@ -278,7 +303,7 @@ solve(PyObject *module, PyObject *args, PyObject *kwargs)
         return NULL;
     if (engine_init(&e, num_points, colors, constraints, order) < 0)
         goto done;
-    found = dfs(&e, 0);
+    found = search(&e);
     if (found < 0)
         goto done;
     if (!found) {
@@ -300,6 +325,7 @@ solve(PyObject *module, PyObject *args, PyObject *kwargs)
 done:
     PyMem_Free(e.ints);
     PyMem_Free(e.words);
+    PyMem_Free(e.frames);
     return result;
 }
 

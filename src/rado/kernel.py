@@ -9,14 +9,14 @@ the C kernel visits them in input order and counts each one's points not
 colored h, stopping at two, while the Python kernel visits them by shape,
 first the pairs, each forbidding h at its other point, then triples and
 larger sets as bitsets, passing over those with no other point colored h.
-They search and restore state differently: the Python kernel loops over an
-explicit stack of branch points, each holding a snapshot of the state, and
-the C kernel recurses and trails every change.  They
-follow the identical deterministic decision sequence, so results do not
-depend on the choice: both branch on the first uncolored point with
-exactly two colors left among the next ``_kernel_py.LOOKAHEAD`` entries of
-the supplied order, and on the next uncolored point when there is none
-(see ``_kernel_py``).
+Both search in one loop over an explicit stack of branch points, and
+differ only in how they propagate, as above, and in how they restore state:
+the Python kernel from a snapshot per branch point, the C kernel from one
+trail of every change.  They follow the identical deterministic decision
+sequence, so results do not depend on the choice: both branch on the first
+uncolored point with exactly two colors left among the next
+``_kernel_py.LOOKAHEAD`` entries of the supplied order, and on the next
+uncolored point when there is none (see ``_kernel_py``).
 
 The kernels trust their arguments, which must meet one contract: `colors`
 lies in 1..62, `order` is a list and `constraints` a sequence, each

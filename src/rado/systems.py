@@ -63,7 +63,9 @@ class ScalarSystem:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ScalarSystem":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        """The system of these rows; entries pass through unconverted, so a
+        float, a string or a bool is refused, not rounded or parsed."""
+        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def equations(self) -> int:
@@ -280,19 +282,15 @@ def parse_system(text: str) -> VectorSystem:
         if not isinstance(entry, dict) or "rows" not in entry:
             raise SystemFormatError(f"coordinate system {i}: missing 'rows'")
         rows = entry["rows"]
-        if not isinstance(rows, list) or not rows:
-            raise SystemFormatError(f"coordinate system {i}: 'rows' must be a nonempty list")
-        for row in rows:
-            if not isinstance(row, list) or len(row) != k:
-                raise SystemFormatError(
-                    f"coordinate system {i}: every row must have k={k} entries"
-                )
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise SystemFormatError(
-                        f"coordinate system {i}: non-integer coefficient {x!r}"
-                    )
-        parsed.append(ScalarSystem.from_rows(rows))
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise SystemFormatError(f"coordinate system {i}: 'rows' must be a list of lists")
+        try:
+            system = ScalarSystem.from_rows(rows)
+        except SystemFormatError as e:
+            raise SystemFormatError(f"coordinate system {i}: {e}") from e
+        if system.variables != k:
+            raise SystemFormatError(f"coordinate system {i}: every row must have k={k} entries")
+        parsed.append(system)
     return VectorSystem(tuple(parsed))
 
 

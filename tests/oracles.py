@@ -227,36 +227,27 @@ def avoidable_pruned_dfs(num_points, r, constraints) -> bool:
     No propagation, no symmetry breaking, no branching heuristics: a branch
     dies exactly when some fully colored constraint is monochromatic, which
     covers all of its extensions, so the search still visits every coloring
-    implicitly.
+    implicitly.  One loop over the points, backing up a point at a time, so
+    no frame is taken per point.
     """
     by_max = [[] for _ in range(num_points)]
     for con in constraints:
         by_max[max(con)].append(tuple(con))
-    colors = [0] * num_points
-
-    def rec(i):
-        if i == num_points:
-            return True
-        for c in range(r):
-            colors[i] = c
-            ok = True
-            for con in by_max[i]:
-                c0 = colors[con[0]]
-                if all(colors[j] == c0 for j in con[1:]):
-                    ok = False
-                    break
-            if ok and rec(i + 1):
-                return True
-        return False
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, num_points * 2 + 100))
-    try:
-        return rec(0)
-    finally:
-        sys.setrecursionlimit(old)
+    # colors[i] is the color point i is trying, -1 before its first; points
+    # 0..i-1 hold colors that leave no constraint monochromatic
+    colors = [-1] * num_points
+    i = 0
+    while 0 <= i < num_points:
+        colors[i] += 1
+        if colors[i] == r:
+            colors[i] = -1
+            i -= 1
+            continue
+        if not any(
+            all(colors[j] == colors[con[0]] for j in con[1:]) for con in by_max[i]
+        ):
+            i += 1
+    return i == num_points
 
 
 def schur_vector_constraints(n, exclude_degenerate):

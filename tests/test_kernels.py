@@ -5,6 +5,7 @@ import random
 import re
 import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -242,6 +243,31 @@ def test_compiled_search_stops_on_signal():
     assert solve_avoidability(3, 2, triangle, [0, 1, 2], backend="c") == (False, None)
     ok, colors = solve_avoidability(3, 3, triangle, [0, 1, 2], backend="c")
     assert ok and check_witness(triangle, colors)
+
+
+@needs_c
+def test_compiled_search_takes_no_c_stack_per_branch_point():
+    # one open branch point per point, 200,000 deep: a C frame per branch
+    # point overflows the main thread's stack long before that.  Never run
+    # these on the Python kernel: its snapshots grow with depth x points
+    got = solve_avoidability(200_000, 2, [], range(200_000), backend="c")
+    assert got == (True, [0] * 200_000)
+    # a 20,000-point chain of pairs at r=3 in a thread with a 512 KiB stack
+    chain = [(i, i + 1) for i in range(19_999)]
+    got = []
+    threading.stack_size(512 * 1024)
+    try:
+        thread = threading.Thread(
+            target=lambda: got.append(
+                solve_avoidability(20_000, 3, chain, range(20_000), backend="c")
+            )
+        )
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        threading.stack_size(0)
+    assert not thread.is_alive()
+    assert got == [(True, [i % 2 for i in range(20_000)])]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

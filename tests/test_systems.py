@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -185,6 +186,21 @@ class TestFileFormat:
         with pytest.raises(SystemFormatError):
             parse_system('{"d": 1, "k": 2, "systems": [{"rows": [[1, 1.5]]}]}')
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("[]", "a system needs at least one equation row"),
+            ("[[1, 2], [1]]", "ragged coefficient rows"),
+            ("[[1, true]]", "non-integer coefficient True"),
+            ("[[1, -1], 2]", "'rows' must be a list of lists"),
+        ],
+        ids=["empty", "ragged", "bool", "not-a-row"],
+    )
+    def test_row_errors_name_the_coordinate(self, rows, message):
+        doc = f'{{"d": 2, "k": 2, "systems": [{{"rows": [[1, -1]]}}, {{"rows": {rows}}}]}}'
+        with pytest.raises(SystemFormatError, match=re.escape(f"coordinate system 1: {message}")):
+            parse_system(doc)
+
     def test_rejects_wrong_system_count(self):
         with pytest.raises(SystemFormatError):
             parse_system('{"d": 2, "k": 2, "systems": [{"rows": [[1, -1]]}]}')
@@ -203,6 +219,14 @@ class TestValidation:
     def test_ragged_rows_rejected(self):
         with pytest.raises(SystemFormatError):
             ScalarSystem.from_rows([[1, 2], [1]])
+
+    @pytest.mark.parametrize("entry", [1.5, "3", True], ids=["float", "str", "bool"])
+    def test_from_rows_refuses_non_integer_entries(self, entry):
+        message = f"non-integer coefficient {entry!r}"
+        with pytest.raises(SystemFormatError, match=re.escape(message)):
+            ScalarSystem.from_rows([[entry, 1, -2]])
+        with pytest.raises(SystemFormatError, match=re.escape(message)):
+            VectorSystem.from_rows([[[1, 1, -1]], [[entry, 1, -2]]])
 
     def test_vector_system_requires_equal_k(self):
         with pytest.raises(SystemFormatError):
