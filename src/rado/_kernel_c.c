@@ -27,6 +27,11 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+/* Py_NO_INLINE is public from Python 3.11 on; 3.10 has only _Py_NO_INLINE. */
+#ifndef Py_NO_INLINE
+#define Py_NO_INLINE _Py_NO_INLINE
+#endif
+
 #define SIGNAL_CHECK_MASK 4095
 #define LOOKAHEAD 8  /* equal to _kernel_py.LOOKAHEAD */
 
