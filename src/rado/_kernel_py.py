@@ -47,15 +47,18 @@ color a point has left is looked up in a dict.
 
 The search is one loop over an explicit stack, with one entry per open
 branch point, so it takes no Python frames however deep it goes.  Each
-branch point snapshots the coloring, the forbidden colors and the
-``notcol`` sets before its first color and restores them before each further
-one, so nothing is undone step by step; a branch point with no color left is
-popped without a restore, and the next entry down restores its own snapshot
-before its next color.  The snapshots cost memory and copy time of
-depth x points: ``solve(2000, 2, [], list(range(2000)))`` opens 2,000 branch
-points and peaks at about 66 MB (tracemalloc), where the C kernel's trail
-stays under 1 MB.  Tried colors ascend and each of a point's lists is
-visited in input order, so the search is deterministic.
+branch point snapshots the forbidden colors and the ``notcol`` sets before
+its first color and restores them before each further one, so nothing is
+undone step by step; a branch point with no color left is popped without a
+restore, and the next entry down restores its own snapshot before its next
+color.  The coloring needs no snapshot: a point is colored exactly when its
+forbidden colors are -1, and a color written on an undone branch is never
+read, since a point colored again is written again.  The snapshots cost
+memory and copy time of depth x points: ``solve(2000, 2, [],
+list(range(2000)))`` opens 2,000 branch points and peaks at about 34 MB
+(tracemalloc), where the C kernel's trail stays under 1 MB.  Tried colors
+ascend and each of a point's lists is visited in input order, so the search
+is deterministic.
 """
 
 from __future__ import annotations
@@ -121,8 +124,9 @@ def solve(
     # triples and of the larger sets
     pairs, triples, larger = _point_masks(num_points, constraints)
 
-    color = [-1] * num_points
-    # a colored point's forbidden colors are -1, all bits set
+    # a point is colored exactly when its forbidden colors are -1, all bits
+    # set; color[p] is read only then
+    color = [0] * num_points
     forbid = [0] * num_points
     notcol = [all_points] * colors
     full_mask = (1 << colors) - 1
@@ -198,10 +202,10 @@ def solve(
     stack: list[tuple[int, int, int, tuple]] = []
     oi = 0
     while True:
-        while oi < olen and color[order[oi]] >= 0:
+        while oi < olen and forbid[order[oi]] < 0:
             oi += 1
         if oi == olen:
-            return True, [c if c >= 0 else 0 for c in color]
+            return True, [c if fb < 0 else 0 for c, fb in zip(color, forbid)]
         x = order[oi]
         # the points before oi are colored, and order[oi] stays uncolored
         # when another point is branched on, so the search resumes at oi
@@ -212,7 +216,7 @@ def solve(
                     x = y
                     nxt = oi
                 break
-        saved = color[:], forbid[:], notcol[:], introduced
+        saved = forbid[:], notcol[:], introduced
         # the colors x is not forbidden, up to the first one not yet introduced
         left = ((2 << min(introduced, colors - 1)) - 1) & ~forbid[x]
         while True:
@@ -225,6 +229,6 @@ def solve(
                 if not stack:
                     return False, None
                 x, nxt, left, saved = stack.pop()
-            color[:], forbid[:], notcol[:], introduced = saved
+            forbid[:], notcol[:], introduced = saved
         stack.append((x, nxt, left, saved))
         oi = nxt

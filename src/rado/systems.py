@@ -22,7 +22,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import MalformedPartitionError, SystemFormatError, TooManyColumnsError
-from .exactmath import in_span, reduce, rref
+from .exactmath import Basis, in_span, insert, reduce, rref
 
 DEFAULT_COLUMN_LIMIT = 12
 
@@ -148,14 +148,19 @@ def check_columns_condition(
 ) -> ColumnsReport:
     """Decide the columns condition; return a witness partition when it holds.
 
-    Search strategy: the first block is any nonempty zero-sum subset of
-    columns; each later block is any nonempty subset of the remaining columns
-    whose sum lies in the span of all previously used columns.  States are
-    memoized on the set of used columns (the span, hence feasibility of the
-    tail, depends only on that set), and a state finishes immediately with
-    singleton blocks once every remaining column individually lies in the
-    current span.  Subsets are scanned in ascending bitmask order, so the
-    returned witness is deterministic.
+    Greedy: keep an echelon basis of the columns used so far and, while some
+    columns are unused, take as the next block the first nonempty subset of
+    them, in ascending bitmask order, whose sum lies in the basis's span.  The
+    span of no columns is {0}, so the first block sums to zero.  When no
+    subset qualifies, the condition fails.
+
+    Keeping the first valid block never loses a witness.  If blocks
+    B_1, ..., B_m validly partition the unused columns and B is any valid
+    block, then B_1 - B, ..., B_m - B (empty ones dropped) validly partition
+    what B leaves: sum(B_j - B) = sum(B_j) - sum(B_j & B), which lies in the
+    span of the used columns, B and the earlier B_i - B.  So the loop fails
+    exactly when the condition does, and its witness is the first one in
+    the order of a backtracking search over the same subsets.
     """
     k = system.variables
     if k > limit:
@@ -164,7 +169,6 @@ def check_columns_condition(
     full_rank = rk == system.equations
 
     cols = [system.column(j) for j in range(k)]
-    full_mask = (1 << k) - 1
 
     # subset sums via lowest-set-bit dynamic programming
     sums: list[tuple[int, ...]] = [(0,) * system.equations] * (1 << k)
@@ -173,51 +177,22 @@ def check_columns_condition(
         rest = sums[mask & (mask - 1)]
         sums[mask] = tuple(a + b for a, b in zip(rest, cols[low]))
 
-    memo: dict[int, tuple[int, ...] | None] = {}
-
-    def complete(used: int) -> tuple[int, ...] | None:
-        """Block masks partitioning the columns outside `used`, or None."""
-        if used == full_mask:
-            return ()
-        hit = memo.get(used, "miss")
-        if hit != "miss":
-            return hit
-        # built once per state: the memo catches repeats, recursion only grows `used`
-        basis = rref(cols[j] for j in range(k) if used >> j & 1)
-        remaining = full_mask & ~used
-        free = [j for j in range(k) if remaining >> j & 1]
-        if not any(any(reduce(cols[j], basis)) for j in free):
-            memo[used] = tuple(1 << j for j in free)
-            return memo[used]
-        result = None
-        sub = 0
-        while True:
+    basis: Basis = []
+    blocks: list[tuple[int, ...]] = []
+    remaining = (1 << k) - 1
+    while remaining:
+        # submasks of the unused columns, ascending from the lowest bit
+        sub = remaining & -remaining
+        while any(reduce(sums[sub], basis)):
             sub = (sub - remaining) & remaining
-            if sub == 0:
-                break
-            if not any(reduce(sums[sub], basis)):
-                tail = complete(used | sub)
-                if tail is not None:
-                    result = (sub,) + tail
-                    break
-        memo[used] = result
-        return result
-
-    first = 0
-    while True:
-        first = (first - full_mask) & full_mask
-        if first == 0:
-            break
-        if any(sums[first]):
-            continue
-        tail = complete(first)
-        if tail is not None:
-            blocks = tuple(
-                tuple(j for j in range(k) if mask >> j & 1)
-                for mask in (first,) + tail
-            )
-            return ColumnsReport(True, ColumnsPartition(blocks), rk, full_rank)
-    return ColumnsReport(False, None, rk, full_rank)
+            if not sub:
+                return ColumnsReport(False, None, rk, full_rank)
+        block = tuple(j for j in range(k) if sub >> j & 1)
+        for j in block:
+            insert(cols[j], basis)
+        blocks.append(block)
+        remaining ^= sub
+    return ColumnsReport(True, ColumnsPartition(tuple(blocks)), rk, full_rank)
 
 
 def verify_partition(system: ScalarSystem, partition: ColumnsPartition) -> bool:
@@ -271,9 +246,9 @@ def parse_system(text: str) -> VectorSystem:
         if key not in doc:
             raise SystemFormatError(f"missing key {key!r}")
     d, k, systems = doc["d"], doc["k"], doc["systems"]
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise SystemFormatError("d must be a positive integer")
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise SystemFormatError("k must be a positive integer")
     if not isinstance(systems, list) or len(systems) != d:
         raise SystemFormatError(f"expected {d} coordinate systems")

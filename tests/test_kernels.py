@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import inspect
@@ -164,6 +165,28 @@ def test_searches_leave_the_recursion_limit_alone(monkeypatch):
     model = solve_cnf(3000, clauses)
     assert model is not None
     assert all(model[a] or model[b] for a, b in clauses)
+
+
+def test_no_function_calls_itself():
+    # a call to a function's own name, or to self.name / cls.name inside a
+    # method, anywhere in its body (nested functions included)
+    recursive = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "rado").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    recursive.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert recursive == []
 
 
 def test_unknown_backend_is_refused():

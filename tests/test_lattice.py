@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import time
 import warnings
 from itertools import combinations, product
@@ -465,6 +466,19 @@ class TestColoringFiles:
         doc[key] = True
         with pytest.raises(SystemFormatError):
             parse_coloring(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[0, 1]", "coloring document must be a JSON object"),
+            ('{"n": 1, "d": 1, "colors": [0]}', "missing key 'r'"),
+            ('{"n": 1, "d": 1, "r": 1, "colors": {"0": 0}}', "'colors' must be a list"),
+        ],
+        ids=["not-an-object", "missing-key", "colors-not-a-list"],
+    )
+    def test_document_errors(self, doc, message):
+        with pytest.raises(SystemFormatError, match=f"^{re.escape(message)}$"):
+            parse_coloring(doc)
 
     def test_integer_too_long_to_read(self):
         with pytest.raises(SystemFormatError):

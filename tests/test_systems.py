@@ -133,6 +133,10 @@ class TestVerifyPartition:
         system = ScalarSystem.from_rows([[1, -2, 1]])
         assert verify_partition(system, ColumnsPartition(((0, 1, 2),)))
 
+    def test_later_block_outside_the_span(self):
+        system = ScalarSystem.from_rows([[1, -1, 0], [0, 0, 1]])
+        assert not verify_partition(system, ColumnsPartition(((0, 1), (2,))))
+
     def test_malformed_partitions(self):
         with pytest.raises(MalformedPartitionError):
             verify_partition(SCHUR, ColumnsPartition(((0, 1),)))
@@ -199,6 +203,23 @@ class TestFileFormat:
     def test_row_errors_name_the_coordinate(self, rows, message):
         doc = f'{{"d": 2, "k": 2, "systems": [{{"rows": [[1, -1]]}}, {{"rows": {rows}}}]}}'
         with pytest.raises(SystemFormatError, match=re.escape(f"coordinate system 1: {message}")):
+            parse_system(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[1, 2]", "system document must be a JSON object"),
+            ('{"d": 1, "systems": []}', "missing key 'k'"),
+            ('{"d": 0, "k": 2, "systems": []}', "d must be a positive integer"),
+            ('{"d": true, "k": 1, "systems": [{"rows": [[1]]}]}', "d must be a positive integer"),
+            ('{"d": 1, "k": -1, "systems": [{"rows": [[1]]}]}', "k must be a positive integer"),
+            ('{"d": 1, "k": true, "systems": [{"rows": [[1]]}]}', "k must be a positive integer"),
+            ('{"d": 1, "k": 1, "systems": [{"cols": [[1]]}]}', "coordinate system 0: missing 'rows'"),
+        ],
+        ids=["not-an-object", "missing-key", "d-zero", "d-bool", "k-negative", "k-bool", "no-rows"],
+    )
+    def test_document_errors(self, doc, message):
+        with pytest.raises(SystemFormatError, match=f"^{re.escape(message)}$"):
             parse_system(doc)
 
     def test_rejects_wrong_system_count(self):
