@@ -39,7 +39,10 @@ a base plus one row of the last list, kept as a sorted tuple of distinct
 indices.  A base's values are base-n digits above the last coordinate, so
 multiples of n, while a last-list contribution lies below n: when a base's
 values are pairwise distinct, its argsort orders every set built on it, and
-only the sets on a tied base are sorted one by one.  A base is exactly one
+only the sets on a tied base are sorted one by one.  In one dimension the
+one base is zero, and each set is its row's distinct values less one, made
+without contributions; a one-dimensional scan projects only the rows that
+the box before lacked (``search._build``).  A base is exactly one
 combination of outer rows, so it has at most one form f, and the
 degeneracy filter cuts the last list's rows of form f out of the bases whose
 outer rows all have form f; in one dimension every tuple is degenerate and
@@ -355,31 +358,33 @@ def _point_sets(
     system: VectorSystem,
     n: int,
     mask: tuple[int, ...],
-    budget: int,
+    lists: list[Rows],
     exclude_degenerate: bool,
 ) -> dict[tuple[int, ...], None]:
-    """Distinct masked point-index sets of the solution tuples in [1,n]^d,
-    as sorted tuples (see the module docstring), keyed in build order.
+    """Distinct masked point-index sets of the tuples in the product of the
+    coordinate lists (``_coordinate_solutions`` of [1,n]^d, or some of its
+    rows), as sorted tuples (see the module docstring), keyed in build
+    order.
 
     Of the first list only the rows that do not decrease along each class
     of twin positions (equal columns in every coordinate system) are kept:
     swapping twins in all coordinates keeps a tuple's point set, and every
     orbit of swaps has one tuple so ordered, so no set is lost.  Rows with
     equal twin values stay, and their sets merge as any repeated point
-    does.  The first list may be shared with other coordinates
-    (``_coordinate_solutions``), so it is filtered into a new dict.
+    does.  The first list may be shared with other coordinates, or kept by
+    the caller, so it is filtered into a new dict.
 
     A set is a base plus one row of the last list, summed column by column,
-    in the argsort order of the base; only sets on a tied base (one
-    dimension, or masked points that share their leading coordinates) are
-    sorted one by one.  With `exclude_degenerate`, the last list's
+    in the argsort order of the base; only sets on a tied base (masked
+    points that share their leading coordinates) are sorted one by one.  In
+    one dimension the one base is zero, so each row's set is made directly,
+    as its distinct values less one, sorted.  With `exclude_degenerate`, the last list's
     contributions are ordered by their rows' forms, so the degenerate tuples
     on a base of one form f are those completed by one span [lo, hi) of
     them, which that base skips.  Build order is each base's run of sets in
     turn, each set kept where it first occurs: it depends on the enumeration
     alone, never on hashing.
     """
-    lists = _coordinate_solutions(system, n, mask, budget)
     if exclude_degenerate and len(lists) == 1:
         return {}
     classes = defaultdict(list)
@@ -387,9 +392,12 @@ def _point_sets(
         classes[tuple(s.column(j) for s in system.coordinate_systems)].append(pos)
     twins = [pair for members in classes.values() for pair in zip(members, members[1:])]
     if twins:
-        lists[0] = {
+        first = {
             row: w for row, w in lists[0].items() if all(row[p] <= row[q] for p, q in twins)
         }
+        lists = [first, *lists[1:]]
+    if len(lists) == 1:
+        return dict.fromkeys(tuple(sorted({x - 1 for x in row})) for row in lists[0])
     width = len(mask)
     contributions = _index_contributions(lists, n)
     *outer, last = contributions

@@ -15,6 +15,7 @@ from rado.kernel import available_backends, solve_avoidability
 from rado.lattice import (
     DEFAULT_BUDGET,
     Coloring,
+    _coordinate_solutions,
     _point_sets,
     count_monochromatic,
     is_degenerate,
@@ -27,6 +28,8 @@ from rado.search import (
     ConstraintSet,
     SearchProblem,
     _branch_order,
+    _build,
+    _search_box,
     build_constraints,
     coloring_from_model,
     export_dimacs,
@@ -231,9 +234,8 @@ def test_projection_keeps_every_point_set(label, n):
     problem = BUILD_PROBLEMS[label]
     rows = [s.coeffs for s in problem.system.coordinate_systems]
     expected = naive_point_sets(rows, n, problem.mask, problem.exclude_degenerate)
-    sets = _point_sets(
-        problem.system, n, problem.mask, DEFAULT_BUDGET, problem.exclude_degenerate
-    )
+    lists = _coordinate_solutions(problem.system, n, problem.mask, DEFAULT_BUDGET)
+    sets = _point_sets(problem.system, n, problem.mask, lists, problem.exclude_degenerate)
     assert set(sets) == expected
 
 
@@ -490,16 +492,23 @@ def test_lifted_scan_matches_plain_scan(label, colors, max_n, exclude_degenerate
 
 @pytest.fixture()
 def searched_boxes(monkeypatch):
-    """The d-dimensional boxes that rado.search searches, in call order."""
-    searched = []
-    find = find_avoiding_coloring
+    """The d-dimensional boxes that rado.search searches, in call order.
 
-    def counted(p, n, budget):
+    ``find_avoiding_coloring`` searches through the same per-box call, so
+    plain_scan, the reference, is given the uncounted one.
+    """
+    searched = []
+    search_box = _search_box
+
+    def counted(p, n, budget, prev=None):
         if p.system.d > 1:
             searched.append(n)
-        return find(p, n, budget)
+        return search_box(p, n, budget, prev)
 
-    monkeypatch.setattr("rado.search.find_avoiding_coloring", counted)
+    monkeypatch.setattr("rado.search._search_box", counted)
+    monkeypatch.setattr(
+        "oracles.find_avoiding_coloring", lambda p, n, budget: search_box(p, n, budget)[0]
+    )
     return searched
 
 
@@ -562,6 +571,105 @@ def test_lifted_scan_refuses_as_plain_scan(searched_boxes):
         if (colors, budget) == (2, 100):
             # nothing is lifted, so the d-dimensional scan starts at n = 1
             assert searched_boxes == [1, 2, 3, 4, 5]
+
+
+# only a dummy column reaches n, so a new set lies on old points, and it
+# lies inside a set kept at n - 1: the set, as values, and the first n
+# that no longer keeps it
+OLD_SET_DOMINATED = {
+    "x+y+3z=3w-mask-0,2,3": (
+        SearchProblem(VectorSystem.from_rows([[[1, 1, 3, -3]]]), mask=(0, 2, 3)),
+        (1, 5, 6),
+        7,
+    ),
+    "x-2y+2z+3w=0-mask-1,2,3": (
+        SearchProblem(VectorSystem.from_rows([[[1, -2, 2, 3]]]), mask=(1, 2, 3)),
+        (1, 8, 10),
+        11,
+    ),
+}
+# the one-dimensional problems whose scans build each box from the one
+# before, and the last n compared
+REUSE_CASES = {
+    **{label: (p, 30) for label, p in BUILD_PROBLEMS.items() if p.system.d == 1},
+    **{label: (p, lost_at + 3) for label, (p, _, lost_at) in OLD_SET_DOMINATED.items()},
+}
+
+
+def reused_builds(problem, top):
+    """Box n's kept sets for n = 1, ..., top, each built from box n - 1's
+    as a one-dimensional scan builds them."""
+    built = None
+    for n in range(1, top + 1):
+        built = _build(problem, n, DEFAULT_BUDGET, built)
+        yield n, built[0]
+
+
+@pytest.mark.parametrize("label", REUSE_CASES)
+def test_reused_build_keeps_the_fresh_sets(label):
+    problem, top = REUSE_CASES[label]
+    for n, kept in reused_builds(problem, top):
+        assert sorted(kept) == sorted(build_constraints(problem, n).constraints)
+        assert list(map(len, kept)) == sorted(map(len, kept))
+
+
+@pytest.mark.parametrize("label", OLD_SET_DOMINATED)
+def test_reused_build_drops_a_dominated_old_set(label):
+    problem, values, lost_at = OLD_SET_DOMINATED[label]
+    dominated = tuple(x - 1 for x in values)
+    builds = dict(reused_builds(problem, lost_at))
+    assert dominated in builds[lost_at - 1]
+    assert dominated not in builds[lost_at]
+    # the new set inside it lies on old points: none holds the point n
+    assert any(
+        set(s) < set(dominated) and lost_at - 1 not in s for s in builds[lost_at]
+    )
+
+
+def test_only_one_dimensional_scans_reuse_the_build(monkeypatch):
+    calls = []
+    build = _build
+
+    def recorded(problem, n, budget, prev=None):
+        calls.append((problem.system.d, n, prev is not None))
+        return build(problem, n, budget, prev)
+
+    monkeypatch.setattr("rado.search._build", recorded)
+    # the lifted scans of the flagship's two coordinates, then its 2-d boxes
+    assert rado_number(MOTIV, 12).value == 9
+    assert calls == [
+        *[(1, n, n > 2) for n in range(2, 6)],
+        *[(1, n, n > 5) for n in range(5, 10)],
+        (2, 8, False),
+        (2, 9, False),
+    ]
+
+
+# random one-row systems: 3 to 5 columns, coefficients +-1..3, a random
+# nonempty mask, 2 or 3 colors, with and without require_distinct
+def _random_one_dimensional(seed):
+    rng = random.Random(seed)
+    k = rng.randint(3, 5)
+    row = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)]
+    mask = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
+    return SearchProblem(
+        VectorSystem.from_rows([[row]]),
+        colors=rng.randint(2, 3),
+        mask=mask,
+        require_distinct=rng.random() < 0.5,
+    )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_reused_scans_match_plain_scan(backend, monkeypatch):
+    monkeypatch.setattr("rado.kernel.default_backend", lambda: backend)
+    found = 0
+    for seed in range(200):
+        problem = _random_one_dimensional(seed)
+        result = rado_number(problem, 12)
+        assert result == plain_scan(problem, 12), (seed, problem)
+        found += result.found
+    assert 40 <= found <= 160, found
 
 
 class TestVerifyWitness:
