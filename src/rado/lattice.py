@@ -378,10 +378,10 @@ def _point_sets(
     in the argsort order of the base; only sets on a tied base (masked
     points that share their leading coordinates) are sorted one by one.  In
     one dimension the one base is zero, so each row's set is made directly,
-    as its distinct values less one, sorted.  With `exclude_degenerate`, the last list's
-    contributions are ordered by their rows' forms, so the degenerate tuples
-    on a base of one form f are those completed by one span [lo, hi) of
-    them, which that base skips.  Build order is each base's run of sets in
+    as its distinct values less one, sorted.  With `exclude_degenerate`, the
+    last list's contributions are ordered by their rows' forms, so the
+    degenerate tuples on a base of one form f are those completed by one
+    span [lo, hi) of them, which that base skips.  Build order is each base's run of sets in
     turn, each set kept where it first occurs: it depends on the enumeration
     alone, never on hashing.
     """

@@ -75,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter
-from typing import Container, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import BudgetExceededError, DimensionMismatchError
 from .kernel import _kernel
@@ -223,7 +223,7 @@ def _build(
 
 
 def _undominated(
-    sets: Iterable[tuple[int, ...]], known: Container[tuple[int, ...]]
+    sets: Iterable[tuple[int, ...]], known: Collection[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """The sets that properly contain no set of `known`, in their order.
 
