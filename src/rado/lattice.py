@@ -50,7 +50,8 @@ nothing is built.  No set is built and then removed, and no set is decoded
 into points.
 
 Masked positions whose columns are equal in every coordinate system are
-twins, as x and y are in x + y = z: swapping twin variables in all
+twins, as x and y are in x + y = z (the system finds its classes of equal
+columns once, ``VectorSystem.column_classes``): swapping twin variables in all
 coordinates at once maps each solution tuple to one with the same point
 set.  So the first list keeps only its rows that do not decrease along each
 class of twins.  Every orbit of such swaps still has a tuple whose first
@@ -367,7 +368,8 @@ def _point_sets(
     order.
 
     Of the first list only the rows that do not decrease along each class
-    of twin positions (equal columns in every coordinate system) are kept:
+    of twin positions (equal columns in every coordinate system, as
+    ``VectorSystem.column_classes`` finds once per system) are kept:
     swapping twins in all coordinates keeps a tuple's point set, and every
     orbit of swaps has one tuple so ordered, so no set is lost.  Rows with
     equal twin values stay, and their sets merge as any repeated point
@@ -387,10 +389,14 @@ def _point_sets(
     """
     if exclude_degenerate and len(lists) == 1:
         return {}
-    classes = defaultdict(list)
+    # each masked position paired with the one before it in its class
+    classes = system.column_classes
+    before: dict[int, int] = {}
+    twins = []
     for pos, j in enumerate(mask):
-        classes[tuple(s.column(j) for s in system.coordinate_systems)].append(pos)
-    twins = [pair for members in classes.values() for pair in zip(members, members[1:])]
+        if classes[j] in before:
+            twins.append((before[classes[j]], pos))
+        before[classes[j]] = pos
     if twins:
         first = {
             row: w for row, w in lists[0].items() if all(row[p] <= row[q] for p, q in twins)

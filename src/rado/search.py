@@ -67,6 +67,19 @@ box indexed in one base fixed for the whole scan.  That base enlarges the
 kernel's point range: flagship r=2 n=9 indexed in base 9, 20, 40 and 80
 takes 0.38, 0.70, 1.30 and 4.17 ms in the Python kernel, and its branch
 order 0.15, 0.24, 0.50 and 1.56 ms.  So those boxes are built fresh.
+
+A one-dimensional scan also tries box n - 1's avoiding coloring on box n
+before it searches it, the new point colored 0, 1, ... in turn
+(``_extend``).  That coloring splits every kept set of box n - 1, so every
+old kept set of box n, and only the kept sets new at n are checked.  When
+one color splits them too, the coloring splits every kept set of box n;
+every set of the box contains a kept set, so no set is monochromatic and
+box n is avoidable, with no branch order and no kernel.  Otherwise box n is
+searched.  The scan reports only the witness of its last avoidable box,
+and when that box was proven by extension its kept sets are searched then:
+they equal a fresh build's, and the witness depends on them alone, not on
+their order, so it is the one a fresh search of the box gives.  Every box is still built, in order, so a budget
+refusal comes at the same box.
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, product
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, DimensionMismatchError
 from .kernel import _kernel
@@ -180,16 +193,23 @@ def build_constraints(
     return ConstraintSet(n, problem.system.d, tuple(chain.from_iterable(groups)))
 
 
-# a box's kept sets and the masked rows they were projected from, which a
-# one-dimensional scan hands to the build of the next box
-_Built = tuple[list[tuple[int, ...]], Rows]
+class _Built(NamedTuple):
+    """A box's kept sets, by ascending size, the masked rows they were
+    projected from, and the kept sets that box n - 1 did not keep (all of
+    them in a fresh build).  A one-dimensional scan hands it to the build
+    of the next box."""
+
+    kept: list[tuple[int, ...]]
+    rows: Rows
+    new: list[tuple[int, ...]]
 
 
 def _build(
     problem: SearchProblem, n: int, budget: int, prev: _Built | None = None
 ) -> _Built:
     """The sets that no other set dominates, by ascending size, each size in
-    build order (see ``lattice._point_sets``), and the box's masked rows.
+    build order (see ``lattice._point_sets``), the box's masked rows, and
+    the kept sets that are new at n.
 
     `prev` is box n - 1's build, and is given in one dimension only.  There
     a point's index is its value less one at every n, so box n - 1's sets
@@ -203,8 +223,8 @@ def _build(
     lists = _coordinate_solutions(problem.system, n, problem.mask, budget)
     rows = lists[0]
     if prev is not None:
-        old = dict.fromkeys(prev[0])
-        lists = [{row: w for row, w in rows.items() if row not in prev[1]}]
+        old = dict.fromkeys(prev.kept)
+        lists = [{row: w for row, w in rows.items() if row not in prev.rows}]
     seen = _point_sets(problem.system, n, problem.mask, lists, problem.exclude_degenerate)
     if problem.require_distinct:
         # the sets with one point per masked position: all of one size, so
@@ -212,14 +232,15 @@ def _build(
         seen = dict.fromkeys(s for s in seen if len(s) == len(problem.mask))
     if prev is None:
         if len(set(map(len, seen))) < 2:
-            return list(seen), rows  # sets of one size dominate none
-        kept = _undominated(seen, seen)
-    else:
-        kept = _undominated([s for s in seen if s not in old], {**old, **seen})
-        # the new sets on old points
-        low = dict.fromkeys(s for s in kept if s[-1] < n - 1)
-        kept = [*(_undominated(old, low) if low else old), *kept]
-    return sorted(kept, key=len), rows
+            kept = list(seen)  # sets of one size dominate none
+        else:
+            kept = sorted(_undominated(seen, seen), key=len)
+        return _Built(kept, rows, kept)
+    new = _undominated([s for s in seen if s not in old], {**old, **seen})
+    # the new sets on old points
+    low = dict.fromkeys(s for s in new if s[-1] < n - 1)
+    kept = [*(_undominated(old, low) if low else old), *new]
+    return _Built(sorted(kept, key=len), rows, new)
 
 
 def _undominated(
@@ -269,35 +290,54 @@ def find_avoiding_coloring(
     Avoidable outcomes carry a witness coloring (points in no constraint get
     color 0).  The search is deterministic, so the witness is too.
     """
-    return _search_box(problem, n, budget)[0]
-
-
-def _search_box(
-    problem: SearchProblem, n: int, budget: int, prev: _Built | None = None
-) -> tuple[SearchOutcome, _Built]:
-    """``find_avoiding_coloring`` on the sets that ``_build`` keeps from
-    `prev`, and that build, for the next box of a one-dimensional scan."""
     if n < 1:
         raise ValueError("box side n must be at least 1")
+    solve = _kernel(None, problem.colors)
+    return _decide(problem, n, _build(problem, n, budget).kept, solve)
+
+
+def _decide(
+    problem: SearchProblem, n: int, kept: list[tuple[int, ...]], solve: Callable
+) -> SearchOutcome:
+    """The outcome of box n from its kept sets (``_build``), searched by
+    `solve`, the kernel selected before the build."""
     r = problem.colors
-    solve = _kernel(None, r)
-    built = kept, _ = _build(problem, n, budget, prev)
     d = problem.system.d
     num_points = n**d
     cs = ConstraintSet(n, d, tuple(kept))
     if not kept:
-        outcome = SearchOutcome(AVOIDABLE, Coloring(n, d, r, (0,) * num_points), None)
-    elif len(kept[0]) == 1:
+        return SearchOutcome(AVOIDABLE, Coloring(n, d, r, (0,) * num_points), None)
+    if len(kept[0]) == 1:
         # the sets ascend by size, so the singletons, if any, come first
         forced = min(s for s in kept if len(s) == 1)
-        outcome = SearchOutcome(TRIVIALLY_UNAVOIDABLE, None, cs.decode(forced))
-    else:
-        ok, assignment = solve(num_points, r, cs.constraints, _branch_order(cs))
-        if ok:
-            outcome = SearchOutcome(AVOIDABLE, Coloring(n, d, r, tuple(assignment)), None)
-        else:
-            outcome = SearchOutcome(UNAVOIDABLE, None, None)
-    return outcome, built
+        return SearchOutcome(TRIVIALLY_UNAVOIDABLE, None, cs.decode(forced))
+    ok, assignment = solve(num_points, r, cs.constraints, _branch_order(cs))
+    if ok:
+        return SearchOutcome(AVOIDABLE, Coloring(n, d, r, tuple(assignment)), None)
+    return SearchOutcome(UNAVOIDABLE, None, None)
+
+
+def _extend(
+    colors: tuple[int, ...], r: int, sets: Iterable[tuple[int, ...]]
+) -> tuple[int, ...] | None:
+    """`colors` with one more point, colored by the first of 0, ..., r - 1
+    that leaves no set of `sets` monochromatic, or None when each does.
+
+    The sets lie on the points of `colors` and the new one.  A set whose
+    other points share one color rules that color out for the new point; a
+    set that is monochromatic without it, or that is the new point alone,
+    rules out every color.
+    """
+    m = len(colors)
+    banned = set()
+    for s in sets:
+        head = {colors[i] for i in s if i < m}
+        if len(head) < 2:
+            if not head or s[-1] < m:
+                return None
+            banned |= head
+    c = next((c for c in range(r) if c not in banned), None)
+    return None if c is None else (*colors, c)
 
 
 def rado_number(
@@ -318,7 +358,10 @@ def rado_number(
     refusal ends the lift.  The d-dimensional scan starts at the last proven
     box, which it searches fresh, so its value, `searched_to`, witness and
     budget refusal are those of the scan from n = 1.  Every one-dimensional
-    scan, lifted or not, builds each box from the one before (``_scan``).
+    scan, lifted or not, builds each box from the one before and first
+    tries box n - 1's avoiding coloring on it, searching only the boxes
+    where that fails (``_scan``); the witness reported is still a search's,
+    the one a fresh search of its box gives.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -351,17 +394,40 @@ def _scan(
     In one dimension each box after the first is built from the one before
     (``_build``), whose kept sets are equal, as sets, to a fresh build's, so
     the answers are those of fresh searches: no status or witness depends
-    on the order of the sets (see the module docstring).  In two or more
-    dimensions a point's index depends on n, so each box is built fresh.
+    on the order of the sets (see the module docstring).  There box n - 1's
+    avoiding coloring is first tried on box n (``_extend``).  It splits
+    every kept set of box n - 1, so only the kept sets new at n are
+    checked; when a color for the new point splits them too, it splits
+    every kept set, every set of the box contains a kept set, and box n is
+    avoidable with no search.  Otherwise box n is searched.  The witness
+    reported is a searched one: when the scan ends on a box so proven, or
+    on the box after one, that box's kept sets are searched, as a fresh
+    scan searches them.  Every box is still built in order, so a budget
+    refusal comes at the same box.  In two or more dimensions a point's
+    index depends on n, so each box is built fresh and searched.
     """
-    last_witness = built = None
+    solve = _kernel(None, problem.colors)
     reuse = problem.system.d == 1
+    witness = built = colors = None
+    extended = False  # box n - 1 was proven by extension, not searched
     for n in range(start, max_n + 1):
-        outcome, built = _search_box(problem, n, budget, built if reuse else None)
+        prev, built = built, _build(problem, n, budget, built if reuse else None)
+        if colors is not None:
+            colors = _extend(colors, problem.colors, built.new)
+            if colors is not None:
+                extended = True
+                continue
+        outcome = _decide(problem, n, built.kept, solve)
         if outcome.status != AVOIDABLE:
-            return RadoNumberResult(n, n, last_witness)
-        last_witness = outcome.witness
-    return RadoNumberResult(None, max_n, last_witness)
+            if extended:
+                witness = _decide(problem, n - 1, prev.kept, solve).witness
+            return RadoNumberResult(n, n, witness)
+        witness, extended = outcome.witness, False
+        if reuse:
+            colors = witness.colors
+    if extended:
+        witness = _decide(problem, max_n, built.kept, solve).witness
+    return RadoNumberResult(None, max_n, witness)
 
 
 def verify_witness(

@@ -127,6 +127,17 @@ class VectorSystem:
     def k(self) -> int:
         return self.coordinate_systems[0].variables
 
+    @cached_property
+    def column_classes(self) -> tuple[int, ...]:
+        """Each column's class: the first column equal to it in every
+        coordinate system, computed once per system.  Masked positions of
+        one class are twins (see ``lattice._point_sets``)."""
+        first: dict[tuple[tuple[int, ...], ...], int] = {}
+        return tuple(
+            first.setdefault(tuple(s.column(j) for s in self.coordinate_systems), j)
+            for j in range(self.k)
+        )
+
 
 @dataclass(frozen=True)
 class ColumnsPartition:

@@ -11,7 +11,7 @@ from oracles import naive_constraints, naive_point_sets, plain_scan
 from rado.dpll import parse_dimacs, solve_cnf
 from rado.errors import BudgetExceededError, DimensionMismatchError
 from rado.exactmath import rref
-from rado.kernel import available_backends, solve_avoidability
+from rado.kernel import _kernel, available_backends, solve_avoidability
 from rado.lattice import (
     DEFAULT_BUDGET,
     Coloring,
@@ -29,7 +29,9 @@ from rado.search import (
     SearchProblem,
     _branch_order,
     _build,
-    _search_box,
+    _decide,
+    _extend,
+    _scan,
     build_constraints,
     coloring_from_model,
     export_dimacs,
@@ -494,20 +496,22 @@ def test_lifted_scan_matches_plain_scan(label, colors, max_n, exclude_degenerate
 def searched_boxes(monkeypatch):
     """The d-dimensional boxes that rado.search searches, in call order.
 
-    ``find_avoiding_coloring`` searches through the same per-box call, so
-    plain_scan, the reference, is given the uncounted one.
+    Such a box is built, then searched, so its build is counted, refused or
+    not.  ``find_avoiding_coloring`` builds through the same call, so
+    plain_scan, the reference, is given an uncounted one.
     """
     searched = []
-    search_box = _search_box
+    build = _build
 
     def counted(p, n, budget, prev=None):
         if p.system.d > 1:
             searched.append(n)
-        return search_box(p, n, budget, prev)
+        return build(p, n, budget, prev)
 
-    monkeypatch.setattr("rado.search._search_box", counted)
+    monkeypatch.setattr("rado.search._build", counted)
     monkeypatch.setattr(
-        "oracles.find_avoiding_coloring", lambda p, n, budget: search_box(p, n, budget)[0]
+        "oracles.find_avoiding_coloring",
+        lambda p, n, budget: _decide(p, n, build(p, n, budget).kept, _kernel(None, p.colors)),
     )
     return searched
 
@@ -597,27 +601,31 @@ REUSE_CASES = {
 
 
 def reused_builds(problem, top):
-    """Box n's kept sets for n = 1, ..., top, each built from box n - 1's
-    as a one-dimensional scan builds them."""
+    """Box n's builds for n = 1, ..., top, each built from box n - 1's as a
+    one-dimensional scan builds them."""
     built = None
     for n in range(1, top + 1):
         built = _build(problem, n, DEFAULT_BUDGET, built)
-        yield n, built[0]
+        yield n, built
 
 
 @pytest.mark.parametrize("label", REUSE_CASES)
 def test_reused_build_keeps_the_fresh_sets(label):
     problem, top = REUSE_CASES[label]
-    for n, kept in reused_builds(problem, top):
+    old = []
+    for n, (kept, _, new) in reused_builds(problem, top):
         assert sorted(kept) == sorted(build_constraints(problem, n).constraints)
         assert list(map(len, kept)) == sorted(map(len, kept))
+        # the kept sets that box n - 1 did not keep, which a scan checks
+        assert sorted(new) == sorted(set(kept) - set(old))
+        old = kept
 
 
 @pytest.mark.parametrize("label", OLD_SET_DOMINATED)
 def test_reused_build_drops_a_dominated_old_set(label):
     problem, values, lost_at = OLD_SET_DOMINATED[label]
     dominated = tuple(x - 1 for x in values)
-    builds = dict(reused_builds(problem, lost_at))
+    builds = {n: built.kept for n, built in reused_builds(problem, lost_at)}
     assert dominated in builds[lost_at - 1]
     assert dominated not in builds[lost_at]
     # the new set inside it lies on old points: none holds the point n
@@ -645,31 +653,134 @@ def test_only_one_dimensional_scans_reuse_the_build(monkeypatch):
     ]
 
 
-# random one-row systems: 3 to 5 columns, coefficients +-1..3, a random
-# nonempty mask, 2 or 3 colors, with and without require_distinct
+# random one- and two-row systems: 3 to 5 columns, coefficients +-1..3, a
+# random nonempty mask, 2 to 4 colors, with and without require_distinct
 def _random_one_dimensional(seed):
     rng = random.Random(seed)
     k = rng.randint(3, 5)
-    row = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)]
+    rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)] for _ in range(rng.randint(1, 2))]
     mask = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
     return SearchProblem(
-        VectorSystem.from_rows([[row]]),
-        colors=rng.randint(2, 3),
+        VectorSystem.from_rows([rows]),
+        colors=rng.randint(2, 4),
         mask=mask,
         require_distinct=rng.random() < 0.5,
     )
 
 
+@pytest.fixture()
+def extensions(monkeypatch):
+    """The colorings that rado.search's scans extend to a box, each with the
+    problem scanned, in call order."""
+    extended, scanning = [], []
+
+    def scan(problem, *args):
+        scanning.append(problem)
+        return _scan(problem, *args)
+
+    def extend(colors, r, sets):
+        out = _extend(colors, r, sets)
+        if out is not None:
+            extended.append((scanning[-1], out))
+        return out
+
+    monkeypatch.setattr("rado.search._scan", scan)
+    monkeypatch.setattr("rado.search._extend", extend)
+    return extended
+
+
+@pytest.fixture()
+def decided_boxes(monkeypatch):
+    """The boxes that rado.search decides, as (d, n), in call order."""
+    decided = []
+
+    def counted(p, n, kept, solve):
+        decided.append((p.system.d, n))
+        return _decide(p, n, kept, solve)
+
+    monkeypatch.setattr("rado.search._decide", counted)
+    return decided
+
+
 @pytest.mark.parametrize("backend", available_backends())
-def test_reused_scans_match_plain_scan(backend, monkeypatch):
+def test_reused_scans_match_plain_scan(backend, monkeypatch, extensions):
     monkeypatch.setattr("rado.kernel.default_backend", lambda: backend)
-    found = 0
-    for seed in range(200):
+    found = after_extended = ended_extended = 0
+    for seed in range(300):
         problem = _random_one_dimensional(seed)
+        extensions.clear()
         result = rado_number(problem, 12)
+        extended = {len(colors) for _, colors in extensions}
         assert result == plain_scan(problem, 12), (seed, problem)
         found += result.found
-    assert 40 <= found <= 160, found
+        # the reported witness is of a box proven by extension
+        after_extended += result.found and result.value - 1 in extended
+        ended_extended += not result.found and 12 in extended
+    assert 60 <= found <= 240, found
+    assert after_extended >= 20 and ended_extended >= 20, (after_extended, ended_extended)
+
+
+# the boxes each bench scan decides, by dimension, in call order: its lifted
+# one-dimensional boxes, then its d-dimensional ones.  A one-dimensional box
+# that box n - 1's coloring extends to is not decided.
+DECIDED_BOXES = {
+    "flagship-r2": {1: [2, 4, 5, 5, 8, 9], 2: [8, 9]},
+    "non-degenerate-diagonal-schur-r2": {1: [2, 4, 5], 2: [4, 5, 6, 7]},
+    "schur-r3": {1: [1, 8, 10, 11, 12, 13, 14]},
+    "3-ap-r3": {1: [1, 22, 23, 24, 26, 27]},
+    "flagship-r3": {1: [2, 8, 10, 11, 12], 2: [12]},
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("label", BENCH_SCANS)
+def test_bench_scans_decide_pinned_boxes(label, backend, monkeypatch, decided_boxes):
+    monkeypatch.setattr("rado.kernel.default_backend", lambda: backend)
+    problem, max_n, _ = BENCH_SCANS[label]
+    rado_number(problem, max_n)
+    by_dimension = {}
+    for d, n in decided_boxes:
+        by_dimension.setdefault(d, []).append(n)
+    assert by_dimension == DECIDED_BOXES[label]
+
+
+@pytest.mark.parametrize(
+    "problem, max_n",
+    [(p, max_n) for p, max_n, _ in BENCH_SCANS.values()] + list(REUSE_CASES.values()),
+    ids=[*BENCH_SCANS, *REUSE_CASES],
+)
+def test_extended_colorings_pass_verify_witness(problem, max_n, extensions):
+    rado_number(problem, max_n)
+    assert extensions
+    for lifted, colors in extensions:
+        coloring = Coloring(len(colors), 1, lifted.colors, colors)
+        assert verify_witness(lifted, coloring).passed, (lifted, colors)
+
+
+# one-dimensional scans whose witness box m was proven by extension: the
+# scan ends on the box after it, or on it at max_n
+EXTENDED_WITNESSES = {
+    "x+2y=2z-r2-unavoidable-at-4": (SearchProblem(VectorSystem.from_rows([[[1, 2, -2]]])), 12, 3),
+    "x+2y=2z-r3-unavoidable-at-14": (
+        SearchProblem(VectorSystem.from_rows([[[1, 2, -2]]]), colors=3), 20, 13,
+    ),
+    "schur-r3-max-9": (SearchProblem(VectorSystem((SCHUR,)), colors=3), 9, 9),
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("label", EXTENDED_WITNESSES)
+def test_witness_of_an_extended_box_is_searched(
+    label, backend, monkeypatch, extensions, decided_boxes
+):
+    monkeypatch.setattr("rado.kernel.default_backend", lambda: backend)
+    problem, max_n, m = EXTENDED_WITNESSES[label]
+    result = rado_number(problem, max_n)
+    assert m in {len(colors) for _, colors in extensions}
+    # box m is decided once, last, for its witness
+    assert decided_boxes[-1] == (1, m) and decided_boxes.count((1, m)) == 1
+    assert result.searched_to == (m + 1 if result.found else m)
+    assert result.witness == find_avoiding_coloring(problem, m).witness
 
 
 class TestVerifyWitness:
