@@ -441,16 +441,17 @@ class TestRadoNumber:
         assert verify_witness(problem, result.witness).passed
 
 
-# perfbench's scan workload: rado_number up to max_n, and the number of
-# d-dimensional boxes it searches once the lift has skipped the others
+# perfbench's scan workload: rado_number up to max_n, and the
+# d-dimensional boxes it searches once the lift has skipped the others, in
+# call order (the witness box last when the scan did not search it)
 BENCH_SCANS = {
-    "flagship-r2": (MOTIV, 12, 2),
+    "flagship-r2": (MOTIV, 12, [9, 8]),
     "non-degenerate-diagonal-schur-r2": (
-        SearchProblem(DIAG_SCHUR, colors=2, exclude_degenerate=True), 12, 4,
+        SearchProblem(DIAG_SCHUR, colors=2, exclude_degenerate=True), 12, [5, 6, 7],
     ),
     "schur-r3": (SearchProblem(VectorSystem((SCHUR,)), colors=3), 20, None),
     "3-ap-r3": (SearchProblem(VectorSystem((PROGRESSION,)), colors=3, mask=(0, 1, 2)), 30, None),
-    "flagship-r3": (SearchProblem(MOTIVATING, colors=3, mask=(0, 1, 2)), 12, 1),
+    "flagship-r3": (SearchProblem(MOTIVATING, colors=3, mask=(0, 1, 2)), 12, [12]),
 }
 # x = y beside a + b = c: the first coordinate's 1-d box is trivially
 # unavoidable from n = 2 on, so only the second one lifts
@@ -519,9 +520,8 @@ def searched_boxes(monkeypatch):
 @pytest.mark.parametrize("label", [k for k, v in BENCH_SCANS.items() if v[2]])
 def test_lift_skips_bench_boxes(label, searched_boxes):
     problem, max_n, boxes = BENCH_SCANS[label]
-    result = rado_number(problem, max_n)
-    assert len(searched_boxes) == boxes
-    assert searched_boxes == list(range(searched_boxes[0], result.searched_to + 1))
+    rado_number(problem, max_n)
+    assert searched_boxes == boxes
 
 
 def test_rado_number_reduces_each_coordinate_system_once(monkeypatch):
@@ -554,7 +554,8 @@ def test_lifted_scan_refuses_as_plain_scan(searched_boxes):
     # box 12 is the only one searched: box 8's refusal is read from its
     # enumeration, not from a search of boxes 1 to 8
     assert searched_boxes == [12]
-    # (A,S): the lift proves boxes up to 8, and the plain scan refuses box 7
+    # (A,S): the lift proves boxes up to 8, the d-dimensional scan's first
+    # box, 9, is refused, and the plain scan refuses box 7
     searched_boxes.clear()
     problem = SearchProblem(VectorSystem((PROGRESSION, SCHUR_W)), colors=2, mask=(0, 1, 2))
     message = "enumeration refused: 1323 candidate cells exceed the budget of 1000"
@@ -562,7 +563,7 @@ def test_lifted_scan_refuses_as_plain_scan(searched_boxes):
         plain_scan(problem, 12, 1000)
     with pytest.raises(BudgetExceededError, match="^" + re.escape(message) + "$"):
         rado_number(problem, 12, 1000)
-    assert searched_boxes == [8]
+    assert searched_boxes == [9]
     # here the lift itself is refused: at budget 100 the sum coordinate's
     # box 5 has 125 cells, and the scans must still refuse as the plain one
     for colors, budget in itertools.product((2, 3), (30, 100, 300, 1000)):
@@ -643,13 +644,14 @@ def test_only_one_dimensional_scans_reuse_the_build(monkeypatch):
         return build(problem, n, budget, prev)
 
     monkeypatch.setattr("rado.search._build", recorded)
-    # the lifted scans of the flagship's two coordinates, then its 2-d boxes
+    # the lifted scans of the flagship's two coordinates, then its 2-d boxes:
+    # box 9, unavoidable, and box 8, proven by the lift, for the witness
     assert rado_number(MOTIV, 12).value == 9
     assert calls == [
-        *[(1, n, n > 2) for n in range(2, 6)],
+        *[(1, n, n > 1) for n in range(1, 6)],
         *[(1, n, n > 5) for n in range(5, 10)],
-        (2, 8, False),
         (2, 9, False),
+        (2, 8, False),
     ]
 
 
@@ -720,15 +722,79 @@ def test_reused_scans_match_plain_scan(backend, monkeypatch, extensions):
     assert after_extended >= 20 and ended_extended >= 20, (after_extended, ended_extended)
 
 
+# Rado rows for the random multi-dimensional scans, each with a dummy
+# column: a + b = c, a 3-AP (its difference is the dummy), x + y = 2z,
+# x + 2y = 2z and x = y
+SCAN_ROWS = (
+    [[1, 1, -1, 0]],
+    [[-1, 1, 0, -1], [0, -1, 1, -1]],
+    [[1, 1, -2, 0]],
+    [[1, 2, -2, 0]],
+    [[1, -1, 0, 0]],
+)
+
+
+def _random_multi_dimensional(seed):
+    """A random 2- or 3-d problem over SCAN_ROWS, its max_n and its budget:
+    a random nonempty mask of the first three columns, 2 or 3 colors,
+    random tuple filters, and budgets that refuse some scans."""
+    rng = random.Random(seed)
+    d = rng.randint(2, 3)
+    problem = SearchProblem(
+        VectorSystem.from_rows([rng.choice(SCAN_ROWS) for _ in range(d)]),
+        colors=rng.choice((2, 2, 2, 3)),
+        mask=tuple(sorted(rng.sample(range(3), rng.randint(1, 3)))),
+        exclude_degenerate=rng.random() < 0.2,
+        require_distinct=rng.random() < 0.3,
+    )
+    max_n = rng.randint(4, 10) if d == 2 else rng.randint(4, 6)
+    return problem, max_n, rng.choice((300, 3000, DEFAULT_BUDGET, DEFAULT_BUDGET))
+
+
+def _scan_outcome(scan, problem, max_n, budget):
+    """The scan's result, or its refusal message."""
+    try:
+        return scan(problem, max_n, budget)
+    except BudgetExceededError as refusal:
+        return str(refusal)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_multi_dimensional_scans_match_plain_scan(backend, monkeypatch):
+    monkeypatch.setattr("rado.kernel.default_backend", lambda: backend)
+    starts = []
+
+    def scan(problem, start, *args):
+        if problem.system.d > 1:
+            starts.append(start)
+        return _scan(problem, start, *args)
+
+    monkeypatch.setattr("rado.search._scan", scan)
+    found = refused = lifted = 0
+    for seed in range(150):
+        problem, max_n, budget = _random_multi_dimensional(seed)
+        starts.clear()
+        result = _scan_outcome(rado_number, problem, max_n, budget)
+        assert result == _scan_outcome(plain_scan, problem, max_n, budget), (seed, problem)
+        if isinstance(result, str):
+            refused += 1
+            continue
+        found += result.found
+        # the witness box lies before the d-dimensional scan's first box
+        lifted += result.witness is not None and result.witness.n < starts[-1]
+    assert found >= 80 and refused >= 15 and lifted >= 50, (found, refused, lifted)
+
+
 # the boxes each bench scan decides, by dimension, in call order: its lifted
-# one-dimensional boxes, then its d-dimensional ones.  A one-dimensional box
-# that box n - 1's coloring extends to is not decided.
+# one-dimensional boxes, then its d-dimensional ones, the witness box last
+# when no search of the scan decided it.  A one-dimensional box that box
+# n - 1's coloring extends to is not decided.
 DECIDED_BOXES = {
-    "flagship-r2": {1: [2, 4, 5, 5, 8, 9], 2: [8, 9]},
-    "non-degenerate-diagonal-schur-r2": {1: [2, 4, 5], 2: [4, 5, 6, 7]},
+    "flagship-r2": {1: [1, 4, 5, 5, 8, 9], 2: [9, 8]},
+    "non-degenerate-diagonal-schur-r2": {1: [1, 4, 5], 2: [5, 6, 7]},
     "schur-r3": {1: [1, 8, 10, 11, 12, 13, 14]},
     "3-ap-r3": {1: [1, 22, 23, 24, 26, 27]},
-    "flagship-r3": {1: [2, 8, 10, 11, 12], 2: [12]},
+    "flagship-r3": {1: [1, 8, 10, 11, 12], 2: [12]},
 }
 
 
@@ -781,6 +847,16 @@ def test_witness_of_an_extended_box_is_searched(
     assert decided_boxes[-1] == (1, m) and decided_boxes.count((1, m)) == 1
     assert result.searched_to == (m + 1 if result.found else m)
     assert result.witness == find_avoiding_coloring(problem, m).witness
+
+
+def test_lifted_scans_search_no_witness_box(decided_boxes):
+    # (S,S) at r=3: the two coordinates share one system, so one lifted scan
+    # runs, avoidable through max_n, and only the 2-d box max_n is searched
+    # for the witness
+    problem = SearchProblem(VectorSystem((SCHUR_W, SCHUR_W)), colors=3, mask=(0, 1, 2))
+    result = rado_number(problem, 9)
+    assert decided_boxes == [(1, 1), (1, 8), (2, 9)]
+    assert result.witness == find_avoiding_coloring(problem, 9).witness
 
 
 class TestVerifyWitness:
